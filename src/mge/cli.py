@@ -25,7 +25,13 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .gf import FieldSpec, field_new
-from .masking import DEFAULT_SEED, MaskingContext, bool_share, bool_unshare
+from .masking import (
+    DEFAULT_SEED,
+    MaskingContext,
+    SeededTape,
+    bool_share,
+    bool_unshare,
+)
 from . import masking as _mk
 from .linalg import (
     LinearSystem,
@@ -112,11 +118,13 @@ def cmd_solve(cfg: RunConfig) -> int:
         print("solve needs --in FILE or --random", file=sys.stderr)
         return EXIT_USAGE
 
+    # one child tape per system: no two systems share mask randomness
+    tapes = SeededTape(cfg.seed)
     if cfg.compare:
         matches = 0
         for sysm in systems:
             ref = gaussian_elimination(sysm)
-            ctx = MaskingContext(sysm.field, cfg.n, seed=cfg.seed)
+            ctx = MaskingContext(sysm.field, cfg.n, tape=tapes.spawn())
             got = masked_solve(ctx, sysm)
             if (got.x, got.singular, got.fail_index) == (
                     ref.x, ref.singular, ref.fail_index):
@@ -129,7 +137,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         if cfg.unmasked:
             out = gaussian_elimination(sysm)
         else:
-            ctx = MaskingContext(sysm.field, cfg.n, seed=cfg.seed)
+            ctx = MaskingContext(sysm.field, cfg.n, tape=tapes.spawn())
             out = masked_solve(ctx, sysm)
         if out.singular:
             print("singular")
@@ -180,6 +188,12 @@ def cmd_cost_table(cfg: RunConfig) -> int:
 
 def cmd_leakcheck(cfg: RunConfig) -> int:
     fieldspec = field_new(cfg.w, cfg.poly)
+    statistical = cfg.pipeline or cfg.mode == "statistical"
+    if statistical and cfg.samples < 4:
+        # a Welch t needs a sample variance, so two traces per class
+        print(f"--samples must be at least 4, got {cfg.samples}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if cfg.pipeline:
         target = cfg.pipeline.replace("-", "_")
         if target not in ("solve", "solve_unmasked"):
@@ -187,7 +201,7 @@ def cmd_leakcheck(cfg: RunConfig) -> int:
             return EXIT_USAGE
         verdicts = pl.statistical_fixed_vs_random(
             target, fieldspec, cfg.n, m=cfg.m,
-            samples_per_class=max(1, cfg.samples // 2),
+            samples_per_class=cfg.samples // 2,
             threshold=cfg.threshold, seed=cfg.seed)
         label = target
     elif cfg.gadget:
@@ -201,7 +215,7 @@ def cmd_leakcheck(cfg: RunConfig) -> int:
         else:
             verdicts = pl.statistical_fixed_vs_random(
                 spec.name, fieldspec, cfg.n,
-                samples_per_class=max(1, cfg.samples // 2),
+                samples_per_class=cfg.samples // 2,
                 threshold=cfg.threshold, seed=cfg.seed)
         label = spec.name
     else:
@@ -443,6 +457,25 @@ def _suite_oracle(cfg: RunConfig):
     return True, f"{agree} systems agree (values, singularity, abort index)"
 
 
+def _suite_packed_path(cfg: RunConfig):
+    param = cm.PRESETS["uov-ip"]
+    fieldspec = field_new(param.w)
+    sysm = random_system(fieldspec, param.m, random.Random(cfg.seed))
+    runs = []
+    for trace in ([], None):
+        # a probe trace selects the scalar row gadgets, none the packed ones
+        ctx = MaskingContext(fieldspec, 2, seed=cfg.seed)
+        ctx.trace = trace
+        out = masked_solve(ctx, sysm)
+        runs.append((out, ctx.counters.snapshot(), ctx.rng._state))
+    if runs[1] != runs[0]:
+        return False, (f"{param.label} n=2: packed and scalar solves differ "
+                       f"in x, counters or tape state")
+    ops, _, bits = runs[0][1]
+    return True, (f"{param.label} n=2 solve: packed and scalar row gadgets "
+                  f"agree on x, {ops} ops, {bits} bits, tape state")
+
+
 def _suite_probe_shape(cfg: RunConfig):
     tr = pl.record_trace("refresh", field_new(4), 2, seed=cfg.seed)
     if len(tr.ids) != 4:
@@ -508,6 +541,7 @@ _SUITES = (
     ("counters", _suite_counters),
     ("pipeline-counters", _suite_pipeline_counters),
     ("oracle", _suite_oracle),
+    ("packed-path", _suite_packed_path),
     ("probe-shape", _suite_probe_shape),
     ("leak-broken", _suite_leak_broken),
     ("cost-anchors", _suite_cost_anchors),

@@ -392,7 +392,7 @@ class CounterCheck:
 def counter_vs_formula(gadget: str, n: int, w: int = 8,
                        size: int | None = None, seed: int = 1) -> CounterCheck:
     """Run one gadget on random inputs and compare counter deltas."""
-    _check_args(gadget, size, w if gadget in _NEEDS_W else w)
+    _check_args(gadget, size, w, n)
     field = field_new(w)
     ctx = MaskingContext(field, n, seed=seed)
     rng = random.Random(seed ^ 0x5A5A5A)

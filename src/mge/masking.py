@@ -32,8 +32,34 @@ from __future__ import annotations
 from .gf import FieldSpec
 
 _M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 DEFAULT_SEED = 0x243F6A8885A308D3
+
+# draw_block lays its SplitMix64 lanes 128 bits apart in one int: a lane
+# times a 64-bit constant fits its slot, so no carry crosses lanes.
+# A lane's byte 7 is its top 8 bits; a w-bit draw keeps the top w of them.
+_TOP_BITS = tuple(bytes(v >> (8 - w) for v in range(256)) for w in range(9))
+# Lane constants of the largest block so far: count, ones, 64-bit masks
+# and the gamma ramp (lane t holds (t+1)*gamma mod 2^64). Smaller blocks
+# shift them down, so the cache never holds more than one block's size.
+_lanes = [0, 0, 0, 0]
+
+
+def _lane_constants(count: int):
+    top, ones, mask, ramp = _lanes
+    if count > top:
+        ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
+        mask = ones * _M64
+        ramp = int.from_bytes(b"".join(
+            ((t * _GAMMA) & _M64).to_bytes(16, "little")
+            for t in range(1, count + 1)), "little")
+        _lanes[:] = count, ones, mask, ramp
+    elif count < top:
+        drop = (top - count) << 7
+        ones >>= drop
+        mask >>= drop
+    return ones, mask, ramp
 
 
 class SeededTape:
@@ -61,6 +87,27 @@ class SeededTape:
             if v:
                 return v
 
+    def draw_block(self, count: int, width: int) -> bytes:
+        """The next count draw(width) values, one byte each, width <= 8.
+
+        SplitMix64 is counter-based: draw t depends only on the state
+        plus t*gamma, so all count outputs come from one pass of wide
+        int arithmetic. The tape ends where count draws would leave it.
+        """
+        if not 1 <= width <= 8:
+            raise ValueError(f"block draws are 1..8 bits wide, got {width}")
+        s = self._state
+        ones, mask, ramp = _lane_constants(count)
+        z = (s * ones + ramp) & mask  # the mask also drops unused ramp lanes
+        # mask before each multiply: the shifts spill a lane's low bits
+        # into the spare top of the lane below
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        self._state = (s + count * _GAMMA) & _M64
+        out = z.to_bytes(count << 4, "little")[7::16]
+        return out if width == 8 else out.translate(_TOP_BITS[width])
+
     def spawn(self) -> "SeededTape":
         """Derive an independent child tape (splittable use)."""
         return SeededTape(self._next64())
@@ -81,6 +128,14 @@ class ReplayTape:
         return v
 
     draw_nonzero = draw
+
+    def draw_block(self, count, width):
+        end = self._i + count
+        if end > len(self._values):
+            raise IndexError("replay tape exhausted")
+        v = bytes(self._values[self._i:end])
+        self._i = end
+        return v
 
     def rewind(self, values=None):
         if values is not None:
@@ -103,6 +158,14 @@ class DomainTape:
     def draw_nonzero(self, width):
         self.schedule.append((width, True))
         return 1
+
+    def draw_block(self, count, width):
+        self.schedule.extend([(width, False)] * count)
+        return bytes(count)
+
+
+class ZeroSharing(ValueError):
+    """A gadget defined on nonzero values got a sharing of zero."""
 
 
 class CostCounters:
@@ -431,7 +494,8 @@ def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
     ops (5n^2-7n+4)/2, draws (n^2-n)/2, bits (n^2-n)/2 w. The n-1
     multiplicative-share draws are randomness but not charged ops.
     """
-    assert bool_unshare(x) != 0, "b2m input encodes zero"
+    if bool_unshare(x) == 0:
+        raise ZeroSharing("b2m input encodes zero")
     n = ctx.n
     field = ctx.field
     mul = field.mul

@@ -460,6 +460,9 @@ class _MomentAccumulator:
 
     def moments(self):
         nsamp = self.count
+        if nsamp < 2:
+            raise ValueError(
+                f"sample variance needs at least 2 traces, got {nsamp}")
         mean = self.s1 / nsamp
         var = np.maximum(self.s2 / nsamp - mean * mean, 0.0) * nsamp / (nsamp - 1)
         mean2 = self.s2 / nsamp

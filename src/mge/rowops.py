@@ -5,6 +5,17 @@ whose elementwise XOR is the encoded row. The three gadgets here are
 the row-level building blocks of the elimination pipeline: conditional
 row addition, scaling by a multiplicatively shared factor, and
 multiply-accumulate by a Boolean-shared factor.
+
+Each row gadget has two executions of one algorithm. With a probe trace
+(ctx.trace is a list) it runs coefficient by coefficient through the
+scalar gadgets of mge.masking, emitting a point per wire; that is the
+reference. Without one it runs packed: every share row becomes one int
+holding a coefficient per byte (w <= 8), so each ISW pair and refresh
+step is one XOR or AND over the whole row, GF products go through a
+256-byte multiply table per factor, and the randoms come from one
+SeededTape.draw_block, sliced in the order the scalar path draws them.
+Both give the same output shares, the same counters at the gadget
+boundary and the same final tape state.
 """
 
 from __future__ import annotations
@@ -32,6 +43,29 @@ def _check_row(row, n: int) -> int:
         if len(s) != l:
             raise LengthMismatch("share vectors differ in length")
     return l
+
+
+def _packed(row) -> list[int]:
+    return [int.from_bytes(bytes(s), "little") for s in row]
+
+
+def _unpacked(ints, l: int) -> SharedRow:
+    return [list(v.to_bytes(l, "little")) for v in ints]
+
+
+# (w, poly, c) -> bytes.translate table of v -> c*v, built on first use
+_MUL_TABLES: dict = {}
+
+
+def _mul_table(field, c: int) -> bytes:
+    key = (field.w, field.poly, c)
+    t = _MUL_TABLES.get(key)
+    if t is None:
+        mul = field.mul
+        # bytes outside the field never occur in a valid row; map them to 0
+        t = _MUL_TABLES[key] = bytes([mul(c, v) for v in range(field.q)]
+                                     + [0] * (256 - field.q))
+    return t
 
 
 def row_share(ctx: MaskingContext, values: list[int]) -> SharedRow:
@@ -79,9 +113,9 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: SharedRow,
     ones = (1 << w) - 1
     # sign-extend each bit share to w bits; local move, not charged
     ext = [(-(bi & 1)) & ones for bi in b]
-    tr = ctx.trace
-    if tr is not None:
-        ctx.emit(ext[0], ("scad", "ext"))
+    if ctx.trace is None:
+        return _cond_add_packed(ctx, ext, x, y, l)
+    ctx.emit(ext[0], ("scad", "ext"))
     out = [[0] * l for _ in range(n)]
     c = ctx.counters
     for k in range(l):
@@ -89,12 +123,44 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: SharedRow,
         a = sec_and(ctx, yk, ext)
         s = [x[i][k] ^ a[i] for i in range(n)]
         c.ops += n
-        if tr is not None:
-            ctx.emit(s[0], ("scad", "s", k))
+        ctx.emit(s[0], ("scad", "s", k))
         s = strong_refresh(ctx, s)
         for i in range(n):
             out[i][k] = s[i]
     return out
+
+
+def _cond_add_packed(ctx, ext, x, y, l):
+    # per coefficient the scalar path draws the P sec_and randoms, then
+    # the P strong_refresh randoms: pair p reads every span-th byte
+    n = ctx.n
+    w = ctx.field.w
+    pairs = (n * n - n) // 2
+    span = 2 * pairs
+    block = ctx.rng.draw_block(span * l, w)
+    lanes = int.from_bytes(b"\x01" * l, "little")
+    e = [v * lanes for v in ext]
+    ys = _packed(y)
+    z = [ys[i] & e[i] for i in range(n)]
+    p = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            r = int.from_bytes(block[p::span], "little")
+            z[i] ^= r
+            z[j] ^= r ^ (ys[i] & e[j]) ^ (ys[j] & e[i])
+            p += 1
+    s = [xi ^ zi for xi, zi in zip(_packed(x), z)]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            r = int.from_bytes(block[p::span], "little")
+            s[i] ^= r
+            s[j] ^= r
+            p += 1
+    c = ctx.counters
+    c.ops += (5 * n * n - 3 * n) * l
+    c.rng_draws += span * l
+    c.rng_bits += span * l * w
+    return _unpacked(s, l)
 
 
 def sec_scalar_mult(ctx: MaskingContext, p: list[int],
@@ -108,23 +174,47 @@ def sec_scalar_mult(ctx: MaskingContext, p: list[int],
     l = _check_row(x, n)
     if len(p) != n:
         raise LengthMismatch(f"expected {n} factor shares, got {len(p)}")
+    if ctx.trace is None:
+        return _scalar_mult_packed(ctx, p, x, l)
     mul = ctx.field.mul
     c = ctx.counters
-    tr = ctx.trace
     y = [list(s) for s in x]  # working copy, not charged
-    if tr is not None:
-        ctx.emit(y[0][0], ("ssm", "cp"))
+    ctx.emit(y[0][0], ("ssm", "cp"))
     for j in range(n):
         pj = p[j]
         for k in range(l):
             col = [mul(pj, y[i][k]) for i in range(n)]
             c.ops += n
-            if tr is not None:
-                ctx.emit(col[0], ("ssm", "mul", j, k))
+            ctx.emit(col[0], ("ssm", "mul", j, k))
             col = refresh(ctx, col)
             for i in range(n):
                 y[i][k] = col[i]
     return y
+
+
+def _scalar_mult_packed(ctx, p, x, l):
+    # per factor share, then per coefficient, refresh draws n-1 randoms
+    n = ctx.n
+    field = ctx.field
+    w = field.w
+    per = n - 1
+    stride = per * l
+    block = ctx.rng.draw_block(n * stride, w)
+    rows = [bytes(s) for s in x]
+    for j in range(n):
+        tab = _mul_table(field, p[j])
+        v = [int.from_bytes(b.translate(tab), "little") for b in rows]
+        base = j * stride
+        for i in range(1, n):
+            r = int.from_bytes(block[base + i - 1:base + stride:per], "little")
+            v[0] ^= r
+            v[i] ^= r
+        rows = [vi.to_bytes(l, "little") for vi in v]
+    c = ctx.counters
+    c.ops += (5 * n * n - 3 * n) * l
+    c.rng_draws += n * stride
+    c.rng_bits += n * stride * w
+    return [list(b) for b in rows]
 
 
 def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: SharedRow,
@@ -134,8 +224,9 @@ def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: SharedRow,
     l = _check_row(row, n)
     if _check_row(base, n) != l:
         raise LengthMismatch("row lengths differ")
+    if ctx.trace is None:
+        return _mult_sub_packed(ctx, factor, row, base, l)
     c = ctx.counters
-    tr = ctx.trace
     out = [[0] * l for _ in range(n)]
     for k in range(l):
         rk = [row[i][k] for i in range(n)]
@@ -143,6 +234,33 @@ def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: SharedRow,
         for i in range(n):
             out[i][k] = base[i][k] ^ t[i]
         c.ops += n
-        if tr is not None:
-            ctx.emit(out[0][k], ("sms", "z", k))
+        ctx.emit(out[0][k], ("sms", "z", k))
     return out
+
+
+def _mult_sub_packed(ctx, factor, row, base, l):
+    # sec_mult draws one random per pair, pairs in order, per coefficient
+    n = ctx.n
+    field = ctx.field
+    w = field.w
+    pairs = (n * n - n) // 2
+    block = ctx.rng.draw_block(pairs * l, w)
+    rows = [bytes(s) for s in row]
+    # prod[a][b] = factor share a times row share b
+    prod = []
+    for f in factor:
+        tab = _mul_table(field, f)
+        prod.append([int.from_bytes(b.translate(tab), "little") for b in rows])
+    z = [prod[i][i] ^ bi for i, bi in enumerate(_packed(base))]
+    p = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            r = int.from_bytes(block[p::pairs], "little")
+            z[i] ^= r
+            z[j] ^= r ^ prod[i][j] ^ prod[j][i]
+            p += 1
+    c = ctx.counters
+    c.ops += (7 * n * n - 3 * n) // 2 * l
+    c.rng_draws += pairs * l
+    c.rng_bits += pairs * l * w
+    return _unpacked(z, l)

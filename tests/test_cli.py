@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from mge import cli
+from mge import cli, masking
 from mge.cli import main
 
 
@@ -63,6 +63,22 @@ class TestSolve:
                            "--q", "16", "--m", "4", "--compare")
         assert code == 0
         assert out.strip() == "MATCH 100/100"
+
+    @pytest.mark.parametrize("mode", [(), ("--compare",)])
+    def test_batch_systems_draw_different_tapes(self, capsys, monkeypatch,
+                                                mode):
+        first_draws = []
+        real = cli.masked_solve
+
+        def spy(ctx, sysm):
+            probe = masking.SeededTape(ctx.rng._state)
+            first_draws.append(tuple(probe.draw(8) for _ in range(8)))
+            return real(ctx, sysm)
+
+        monkeypatch.setattr(cli, "masked_solve", spy)
+        run(capsys, "solve", "--random", "--count", "3", "--m", "3", *mode)
+        assert len(first_draws) == 3
+        assert len(set(first_draws)) == 3
 
     def test_malformed_json_exit_1(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -180,6 +196,19 @@ class TestLeakcheck:
                            "solve-unmasked", "--m", "2", "--samples", "600")
         assert code == 4
 
+    @pytest.mark.parametrize("target", [
+        ("--gadget", "refresh", "--mode", "statistical"),
+        ("--pipeline", "solve", "--m", "2")])
+    @pytest.mark.parametrize("samples", ["1", "2", "3"])
+    def test_statistical_samples_below_four_exit_1(self, capsys, target,
+                                                   samples):
+        # one trace per class has no sample variance to test against
+        code, out, err = run(capsys, "leakcheck", *target,
+                             "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert "--samples must be at least 4" in err
+
     def test_unknown_gadget_exit_1(self, capsys):
         code, _, err = run(capsys, "leakcheck", "--gadget", "nope")
         assert code == 1
@@ -219,8 +248,10 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[-1] == "10/10 suites passed"
+        assert lines[-1] == "11/11 suites passed"
         assert sum(1 for l in lines if l.startswith("suite ")) >= 8
+        assert any(l.startswith("suite packed-path        ok ")
+                   for l in lines)
 
     def test_suite_subset(self, capsys):
         code, out, _ = run(capsys, "selftest", "--suite",

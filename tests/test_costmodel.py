@@ -203,6 +203,10 @@ class TestCounterAgreement:
             ck = cm.counter_vs_formula(gadget, n, w=8, size=l)
             assert ck.exact, (gadget, n, l, ck)
 
+    def test_one_share_rejected_by_the_cost_model(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            cm.counter_vs_formula("refresh", 1, w=8)
+
     @pytest.mark.parametrize("n,m,w", [(2, 6, 8), (3, 5, 4), (2, 44, 8)])
     def test_pipeline_slip_is_exactly_the_vector_length_terms(self, n, m, w):
         # the printed assembly sums slice lengths as m(m+1)(2m+1)/6 where

@@ -6,7 +6,10 @@ the oracle for the masked path.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,3 +192,40 @@ def test_masked_matches_reference_property(w, m, seed, n):
         ref.x, ref.singular, ref.fail_index)
     if ref.x is not None:
         assert residual(sysm, ref.x) == [0] * m
+
+
+# ------------------------------------------- packed path against scalar
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("field", [F16, F256], ids=["gf16", "gf256"])
+def test_traced_and_untraced_solves_agree(field, m):
+    # a traced context runs the scalar row gadgets, an untraced one the
+    # packed ones; shares never differ, so neither do x, counters or tape
+    rng = random.Random(1000 * field.w + m)
+    systems = [random_system(field, m, rng, invertible=False),
+               singular_system(field, m, rng)]
+    for sysm in systems:
+        n = 2 + rng.randrange(3)
+        seed = rng.getrandbits(64)
+        traced = MaskingContext(field, n, seed=seed)
+        traced.trace = []
+        packed = MaskingContext(field, n, seed=seed)
+        want = masked_solve(traced, sysm)
+        assert masked_solve(packed, sysm) == want
+        assert packed.counters.snapshot() == traced.counters.snapshot()
+        assert packed.rng._state == traced.rng._state
+    assert want.singular  # the rank-deficient system aborts on both paths
+
+
+def test_solver_import_leaves_numpy_out():
+    # numpy costs the solver's start-up time and memory; only the
+    # statistical probing lab needs it
+    code = ("import sys, mge.linalg\n"
+            "print('numpy' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

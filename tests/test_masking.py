@@ -4,7 +4,10 @@ Counter expectations are computed from independent closed forms local
 to this file, then pinned as literals for a few anchor configurations.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from mge.masking import (
     MaskingContext,
     ReplayTape,
     SeededTape,
+    ZeroSharing,
     b2m,
     b2minv,
     bool_share,
@@ -90,6 +94,40 @@ class TestTapes:
         assert all(w == 4 for w in widths)
         # one sharing draw, then one nonzero mask draw (n=2: no inner draws)
         assert [nz for _, nz in tape.schedule] == [False, True]
+
+
+    def test_replay_block_reads_the_next_values(self):
+        tape = ReplayTape([3, 1, 4, 1, 5])
+        assert tape.draw(4) == 3
+        assert tape.draw_block(3, 4) == bytes([1, 4, 1])
+        assert tape.draw(4) == 5
+        tape.rewind()
+        with pytest.raises(IndexError):
+            tape.draw_block(6, 4)
+
+    def test_domain_block_records_plain_draws(self):
+        tape = DomainTape()
+        assert tape.draw_block(3, 5) == bytes(3)
+        assert tape.schedule == [(5, False)] * 3
+
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_block_width_outside_a_byte_rejected(self, width):
+        with pytest.raises(ValueError):
+            SeededTape(1).draw_block(4, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 600), st.integers(0, 2 ** 64 - 1),
+       st.integers(0, 600))
+def test_draw_block_equals_a_loop_of_draws(width, count, seed, before):
+    block_tape, loop_tape = SeededTape(seed), SeededTape(seed)
+    # a block may follow blocks of other sizes: its lane constants are
+    # cut down from the largest block built so far
+    SeededTape(seed).draw_block(before, 8)
+    assert block_tape.draw_block(count, width) == bytes(
+        loop_tape.draw(width) for _ in range(count))
+    assert block_tape._state == loop_tape._state
+    assert block_tape.draw(8) == loop_tape.draw(8)
 
 
 class TestSharing:
@@ -262,8 +300,24 @@ class TestGadgetSemantics:
 
     def test_b2m_rejects_zero_encoding(self):
         ctx = MaskingContext(F16, 2, seed=1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ZeroSharing):
             b2m(ctx, bool_share(ctx, 0))
+
+    def test_zero_rejection_holds_under_optimize_flag(self):
+        # assert statements vanish under -O; this check must not
+        code = ("from mge.gf import field_new\n"
+                "from mge.masking import MaskingContext, ZeroSharing, b2m\n"
+                "ctx = MaskingContext(field_new(4), 2, seed=1)\n"
+                "try:\n"
+                "    b2m(ctx, [7, 7])\n"
+                "except ZeroSharing:\n"
+                "    print('rejected')\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "rejected"
 
     def test_sec_nonzero_output_is_valid_bit_sharing(self):
         ctx = MaskingContext(F256, 3, seed=5)
@@ -347,3 +401,4 @@ def test_b2m_roundtrip_property(w, n, seed, raw):
     v = 1 + raw % (field.q - 1)
     ctx = MaskingContext(field, n, seed=seed)
     assert mult_unshare(field, b2m(ctx, bool_share(ctx, v))) == v
+

@@ -151,6 +151,16 @@ class TestStatistical:
         assert d["samples"] == 400
 
 
+    def test_one_trace_per_class_raises(self):
+        acc = pl._MomentAccumulator(3)
+        acc.add([1, 2, 3])
+        with pytest.raises(ValueError):
+            acc.moments()
+        with pytest.raises(ValueError):
+            pl.statistical_fixed_vs_random("refresh", F16, 2,
+                                           samples_per_class=1, seed=1)
+
+
 class TestSummary:
     def test_summary_shape(self):
         verdicts = pl.exhaustive_first_order("refresh", F16, 2)

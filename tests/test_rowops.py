@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mge.gf import field_new
 from mge.masking import MaskingContext, b2m, bool_share, bool_unshare
@@ -164,3 +165,76 @@ class TestValidation:
         ctx = _ctx(F16, 2)
         with pytest.raises(LengthMismatch):
             sec_scalar_mult(ctx, [1, 1, 1], row_share(ctx, [1]))
+
+
+# ------------------------------------------- packed path against scalar
+
+
+def _twin_contexts(field, n, seed):
+    """Same field, shares and tape seed; only the first one is traced."""
+    traced = MaskingContext(field, n, seed=seed)
+    traced.trace = []
+    return traced, MaskingContext(field, n, seed=seed)
+
+
+def _random_rows(field, n, l, rng, count):
+    return [[[rng.randrange(field.q) for _ in range(l)] for _ in range(n)]
+            for _ in range(count)]
+
+
+def _assert_twins_agree(run, field, n, seed):
+    traced, packed = _twin_contexts(field, n, seed)
+    want = run(traced)
+    got = run(packed)
+    assert traced.trace, "the traced context must take the scalar path"
+    assert got == want
+    assert packed.counters.snapshot() == traced.counters.snapshot()
+    assert packed.rng._state == traced.rng._state
+
+
+ROW_CASE = dict(w=st.integers(1, 8), n=st.integers(2, 5),
+                l=st.integers(1, 45), seed=st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**ROW_CASE)
+def test_cond_add_packed_matches_scalar(w, n, l, seed):
+    field = field_new(w)
+    rng = random.Random(seed)
+    x, y = _random_rows(field, n, l, rng, 2)
+    b = [rng.randrange(2) for _ in range(n)]
+    _assert_twins_agree(lambda ctx: sec_cond_add(ctx, b, x, y), field, n,
+                        seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**ROW_CASE)
+def test_mult_sub_packed_matches_scalar(w, n, l, seed):
+    field = field_new(w)
+    rng = random.Random(seed)
+    row, base = _random_rows(field, n, l, rng, 2)
+    factor = [rng.randrange(field.q) for _ in range(n)]
+    _assert_twins_agree(lambda ctx: sec_mult_sub(ctx, factor, row, base),
+                        field, n, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**ROW_CASE)
+def test_scalar_mult_packed_matches_scalar(w, n, l, seed):
+    field = field_new(w)
+    rng = random.Random(seed)
+    (x,) = _random_rows(field, n, l, rng, 1)
+    p = [rng.randrange(1, field.q) for _ in range(n)]
+    _assert_twins_agree(lambda ctx: sec_scalar_mult(ctx, p, x), field, n,
+                        seed)
+
+
+def test_packed_path_leaves_inputs_untouched():
+    ctx = _ctx(F256, 3)
+    x = row_share(ctx, [1, 2, 3])
+    y = row_share(ctx, [4, 5, 6])
+    snap = [list(s) for s in x], [list(s) for s in y]
+    sec_cond_add(ctx, bool_share(ctx, 1), x, y)
+    sec_mult_sub(ctx, bool_share(ctx, 7), x, y)
+    sec_scalar_mult(ctx, b2m(ctx, bool_share(ctx, 9)), x)
+    assert (x, y) == snap
