@@ -1,10 +1,11 @@
 """Masked Gaussian elimination toolkit over small binary fields.
 
-Subpackages by layer: gf (field arithmetic), masking (sharings, cost
-counters, auxiliary gadgets), rowops (shared-row gadgets), linalg
-(unmasked oracle and the masked solver), costmodel (closed-form op and
-randomness counts plus the tabulated scheme comparison), probelab
-(probing-model leakage checks), cli (command line front end).
+Subpackages by layer: gf (field arithmetic), tape (randomness tapes),
+masking (sharings, cost counters, auxiliary gadgets), rowops
+(shared-row gadgets), linalg (unmasked oracle and the masked solver),
+costmodel (closed-form op and randomness counts plus the tabulated
+scheme comparison), probelab (probing-model leakage checks), cli
+(command line front end).
 """
 
 from .gf import FieldSpec, field_new, gf_add, gf_mul, gf_inv

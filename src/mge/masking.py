@@ -1,9 +1,14 @@
-"""Sharings, randomness tapes, cost counters and the scalar gadgets.
+"""Sharings, cost counters, the masking context and the scalar gadgets.
 
 Representation. A Boolean sharing of x is a list of n field elements
 whose XOR is x. A multiplicative sharing is a list of n nonzero
 elements whose field product is x. Shared rows (in mge.rowops) are
 share-major: n lists of equal length.
+
+Tapes. The tapes live in mge.tape and are re-exported here. A
+SeededTape computes its SplitMix64 outputs ahead of use, in one wide
+pass per refill; its _state is the state that one scalar step per draw
+would have left, so equal _state means equal draws from there on.
 
 Cost accounting. Counters charge abstract unit operations the way the
 closed forms in mge.costmodel count them: field ops, w-bit logical ops,
@@ -14,8 +19,9 @@ Two conventions matter and are applied here once:
 * multiplicative-share draws inside b2m are randomness but not ops;
 * sec_nonzero executes on the width padded to a power of two, then
   aligns its op and bit totals to the closed form (which counts levels
-  as ceil(log2(w+1))) when it returns. Alignment can subtract a few
-  bits, so counters are meant to be read at gadget boundaries.
+  as ceil(log2(w+1))) when it returns; untraced, it charges the closed
+  form once. Alignment can subtract a few bits, so counters are meant
+  to be read at gadget boundaries.
 
 Probing hooks. When ctx.trace is a list, gadgets append one probe value
 per unit operation that produces a share-derived wire (vector-level
@@ -30,138 +36,8 @@ with "pub" mark sanctioned public outputs.
 from __future__ import annotations
 
 from .gf import FieldSpec
-
-_M64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-DEFAULT_SEED = 0x243F6A8885A308D3
-
-# draw_block lays its SplitMix64 lanes 128 bits apart in one int: a lane
-# times a 64-bit constant fits its slot, so no carry crosses lanes.
-# A lane's byte 7 is its top 8 bits; a w-bit draw keeps the top w of them.
-_TOP_BITS = tuple(bytes(v >> (8 - w) for v in range(256)) for w in range(9))
-# Lane constants of the largest block so far: count, ones, 64-bit masks
-# and the gamma ramp (lane t holds (t+1)*gamma mod 2^64). Smaller blocks
-# shift them down, so the cache never holds more than one block's size.
-_lanes = [0, 0, 0, 0]
-
-
-def _lane_constants(count: int):
-    top, ones, mask, ramp = _lanes
-    if count > top:
-        ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
-        mask = ones * _M64
-        ramp = int.from_bytes(b"".join(
-            ((t * _GAMMA) & _M64).to_bytes(16, "little")
-            for t in range(1, count + 1)), "little")
-        _lanes[:] = count, ones, mask, ramp
-    elif count < top:
-        drop = (top - count) << 7
-        ones >>= drop
-        mask >>= drop
-    return ones, mask, ramp
-
-
-class SeededTape:
-    """Counter-based deterministic source of uniform w-bit draws."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int = DEFAULT_SEED):
-        self._state = seed & _M64
-
-    def _next64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _M64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
-
-    def draw(self, width: int) -> int:
-        return self._next64() >> (64 - width)
-
-    def draw_nonzero(self, width: int) -> int:
-        # rejection keeps the distribution uniform on [1, 2^width)
-        while True:
-            v = self._next64() >> (64 - width)
-            if v:
-                return v
-
-    def draw_block(self, count: int, width: int) -> bytes:
-        """The next count draw(width) values, one byte each, width <= 8.
-
-        SplitMix64 is counter-based: draw t depends only on the state
-        plus t*gamma, so all count outputs come from one pass of wide
-        int arithmetic. The tape ends where count draws would leave it.
-        """
-        if not 1 <= width <= 8:
-            raise ValueError(f"block draws are 1..8 bits wide, got {width}")
-        s = self._state
-        ones, mask, ramp = _lane_constants(count)
-        z = (s * ones + ramp) & mask  # the mask also drops unused ramp lanes
-        # mask before each multiply: the shifts spill a lane's low bits
-        # into the spare top of the lane below
-        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        z ^= z >> 31
-        self._state = (s + count * _GAMMA) & _M64
-        out = z.to_bytes(count << 4, "little")[7::16]
-        return out if width == 8 else out.translate(_TOP_BITS[width])
-
-    def spawn(self) -> "SeededTape":
-        """Derive an independent child tape (splittable use)."""
-        return SeededTape(self._next64())
-
-
-class ReplayTape:
-    """Feeds back a fixed list of values; used for tape enumeration."""
-
-    __slots__ = ("_values", "_i")
-
-    def __init__(self, values):
-        self._values = values
-        self._i = 0
-
-    def draw(self, width):
-        v = self._values[self._i]
-        self._i += 1
-        return v
-
-    draw_nonzero = draw
-
-    def draw_block(self, count, width):
-        end = self._i + count
-        if end > len(self._values):
-            raise IndexError("replay tape exhausted")
-        v = bytes(self._values[self._i:end])
-        self._i = end
-        return v
-
-    def rewind(self, values=None):
-        if values is not None:
-            self._values = values
-        self._i = 0
-
-
-class DomainTape:
-    """Records the draw schedule of a run; returns fixed legal values."""
-
-    __slots__ = ("schedule",)
-
-    def __init__(self):
-        self.schedule = []
-
-    def draw(self, width):
-        self.schedule.append((width, False))
-        return 0
-
-    def draw_nonzero(self, width):
-        self.schedule.append((width, True))
-        return 1
-
-    def draw_block(self, count, width):
-        self.schedule.extend([(width, False)] * count)
-        return bytes(count)
+from .tape import DEFAULT_SEED, SeededTape
+from .tape import DomainTape, ReplayTape  # noqa: F401  (re-exported)
 
 
 class ZeroSharing(ValueError):
@@ -447,41 +323,69 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Shared bit (x != 0) by OR-folding halves of the padded width.
 
     Executes on the width padded to the next power of two; op and bit
-    totals are aligned to the closed form on return.
+    totals are aligned to the closed form on return. With a probe trace
+    each level runs strong_refresh and sec_or, the reference; without
+    one the same fold runs inline on the share ints and charges the
+    closed form once.
     """
     n = ctx.n
     w = ctx.field.w
     c = ctx.counters
-    tr = ctx.trace
+    padded = 1 << (w - 1).bit_length() if w > 1 else 1
+    levels = (padded - 1).bit_length()
+    # the closed form counts L = ceil(log2(w+1)) levels
+    big_l = _ceil_log2(w + 1)
+    printed_ops = (5 * n * n + 2 * n - 1) + big_l * (5 * n * n - n + 2)
+    printed_bits = (big_l * big_l - big_l) // 2 * (n * n - n)
+    if ctx.trace is None:
+        t = _nonzero_packed(ctx, list(x), padded)
+        c.ops += printed_ops
+        c.rng_draws += levels * (n * n - n)
+        c.rng_bits += printed_bits
+        return t
     t = list(x)
     c.ops += n  # working copy is charged
-    if tr is not None:
-        ctx.emit(t[0], ("snz", "cp"))
-    width = 1 << (w - 1).bit_length() if w > 1 else 1
-    levels = 0
+    ctx.emit(t[0], ("snz", "cp"))
+    width = padded
     while width > 1:
         half = width >> 1
         mask = (1 << half) - 1
         hi = [(v >> half) & mask for v in t]
         lo = [v & mask for v in t]
-        if tr is not None:
-            ctx.emit(hi[0], ("snz", "hi", width))
-            ctx.emit(lo[0], ("snz", "lo", width))
+        ctx.emit(hi[0], ("snz", "hi", width))
+        ctx.emit(lo[0], ("snz", "lo", width))
         hi = strong_refresh(ctx, hi, width=half)
         t = sec_or(ctx, hi, lo, width=half)
         width = half
-        levels += 1
-    if tr is not None:
-        ctx.emit(t[0], ("snz", "bit"))
-    # align to the closed form: it counts L = ceil(log2(w+1)) levels
-    big_l = _ceil_log2(w + 1)
-    printed_ops = (5 * n * n + 2 * n - 1) + big_l * (5 * n * n - n + 2)
-    natural_ops = n + levels * (5 * n * n - 2 * n + 1)
-    c.ops += printed_ops - natural_ops
-    padded = 1 << (w - 1).bit_length() if w > 1 else 1
-    printed_bits = (big_l * big_l - big_l) // 2 * (n * n - n)
-    natural_bits = (n * n - n) * (padded - 1)
-    c.rng_bits += printed_bits - natural_bits
+    ctx.emit(t[0], ("snz", "bit"))
+    # align to the closed form
+    c.ops += printed_ops - (n + levels * (5 * n * n - 2 * n + 1))
+    c.rng_bits += printed_bits - (n * n - n) * (padded - 1)
+    return t
+
+
+def _nonzero_packed(ctx, t, width):
+    # per level the scalar path draws the strong_refresh randoms, then
+    # those of sec_or's sec_and, one per pair each, all half bits wide
+    n = ctx.n
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    while width > 1:
+        width >>= 1
+        ones = (1 << width) - 1
+        rs = ctx.rng.draw_block(2 * len(pairs), width)
+        hi = [(v >> width) & ones for v in t]
+        lo = [v & ones for v in t]
+        for (i, j), r in zip(pairs, rs):
+            hi[i] ^= r
+            hi[j] ^= r
+        # De Morgan: complement share 0 of both inputs and of the AND
+        hi[0] ^= ones
+        lo[0] ^= ones
+        t = [a & b for a, b in zip(hi, lo)]
+        for (i, j), r in zip(pairs, rs[len(pairs):]):
+            t[i] ^= r
+            t[j] ^= r ^ (hi[i] & lo[j]) ^ (hi[j] & lo[i])
+        t[0] ^= ones
     return t
 
 

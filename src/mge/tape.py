@@ -1,0 +1,209 @@
+"""Randomness tapes: the seeded SplitMix64 tape, replay and recording.
+
+SeededTape is SplitMix64 (Steele, Lea & Flood, "Fast Splittable
+Pseudorandom Number Generators", OOPSLA 2014), a counter-based
+generator: output t depends only on the seed plus t*gamma. The tape
+computes the top bytes of its next outputs ahead, in one wide int pass
+per refill, and draws of up to 8 bits (draw, draw_nonzero, draw_block)
+read them in order; the look-ahead starts short and doubles up to a
+fixed cap. Its _state is the state that one scalar SplitMix64 step per
+draw would have left, so equal _state means equal draws from there on.
+
+ReplayTape and DomainTape serve tape enumeration: one feeds back a
+fixed list of values, the other records the draw schedule of a run.
+"""
+
+from __future__ import annotations
+
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+DEFAULT_SEED = 0x243F6A8885A308D3
+
+# A SeededTape computes its next outputs ahead of use, in one wide pass
+# per refill: the first refill looks _AHEAD_FIRST draws ahead, each later
+# one twice as far as the last, up to _AHEAD_CAP, which bounds the buffer
+# and the lane constants that look-ahead alone makes a tape hold.
+_AHEAD_FIRST = 32
+_AHEAD_CAP = 1024
+
+# _top_bytes lays its SplitMix64 lanes 128 bits apart in one int: a lane
+# times a 64-bit constant fits its slot, so no carry crosses lanes.
+# A lane's byte 7 is its top 8 bits; a w-bit draw keeps the top w of them.
+_TOP_BITS = tuple(bytes(v >> (8 - w) for v in range(256)) for w in range(9))
+# Lane constants of the largest block so far: count, ones, 64-bit masks
+# and the gamma ramp (lane t holds (t+1)*gamma mod 2^64). Smaller blocks
+# shift them down, so the cache never holds more than one block's size.
+_lanes = [0, 0, 0, 0]
+
+
+def _lane_constants(count: int):
+    top, ones, mask, ramp = _lanes
+    if count > top:
+        ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
+        mask = ones * _M64
+        ramp = int.from_bytes(b"".join(
+            ((t * _GAMMA) & _M64).to_bytes(16, "little")
+            for t in range(1, count + 1)), "little")
+        _lanes[:] = count, ones, mask, ramp
+    elif count < top:
+        drop = (top - count) << 7
+        ones >>= drop
+        mask >>= drop
+    return ones, mask, ramp
+
+
+def _top_bytes(state: int, count: int) -> bytes:
+    """Top bytes of the count SplitMix64 outputs that follow state.
+
+    SplitMix64 is counter-based: output t depends only on the state plus
+    t*gamma, so all count outputs come from one pass of wide int
+    arithmetic.
+    """
+    ones, mask, ramp = _lane_constants(count)
+    z = (state * ones + ramp) & mask  # the mask also drops unused ramp lanes
+    # mask before each multiply: the shifts spill a lane's low bits
+    # into the spare top of the lane below
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB
+    # Only byte 7, bits 56..63 of the 64-bit z, is kept. The final
+    # z ^= z >> 31 changes bits 0..32 of it only, and the product bits
+    # above 64 sit in bytes 8..15 of the lane, so neither that step nor a
+    # mask after the multiply can reach byte 7.
+    return z.to_bytes(count << 4, "little")[7::16]
+
+
+class SeededTape:
+    """Counter-based deterministic source of uniform w-bit draws.
+
+    Draws of up to 8 bits read a buffer of the top bytes of the next
+    outputs, filled ahead in one wide pass; the look-ahead doubles on
+    each refill up to _AHEAD_CAP, so a short-lived tape computes little
+    it never reads. spawn() and draws wider than 8 bits step the scalar
+    generator from the current position and drop the buffer.
+
+    _state is the SplitMix64 state that scalar draws would have left:
+    the state before the buffer plus gamma per buffered draw read. What
+    the tape draws next depends on it alone, never on the buffer.
+    """
+
+    __slots__ = ("_base", "_buf", "_pos", "_ahead")
+
+    def __init__(self, seed: int = DEFAULT_SEED):
+        self._base = seed & _M64
+        self._buf = b""
+        self._pos = 0
+        self._ahead = _AHEAD_FIRST
+
+    @property
+    def _state(self) -> int:
+        return (self._base + self._pos * _GAMMA) & _M64
+
+    def _next64(self) -> int:
+        z = self._base = (self._state + _GAMMA) & _M64
+        self._buf, self._pos = b"", 0
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return z ^ (z >> 31)
+
+    def _fill(self, count: int) -> None:
+        """Keep the unread draws and buffer at least count from _state on."""
+        rest = self._buf[self._pos:]
+        after = (self._base + len(self._buf) * _GAMMA) & _M64
+        ahead = self._ahead
+        self._ahead = min(ahead << 1, _AHEAD_CAP)
+        self._base = self._state
+        self._buf = rest + _top_bytes(after, max(count - len(rest), ahead))
+        self._pos = 0
+
+    def draw(self, width: int) -> int:
+        if width > 8:
+            return self._next64() >> (64 - width)
+        p = self._pos
+        if p == len(self._buf):
+            self._fill(1)
+            p = 0
+        self._pos = p + 1
+        return self._buf[p] >> (8 - width)
+
+    _draw = draw
+
+    def draw_nonzero(self, width: int) -> int:
+        # rejection keeps the distribution uniform on [1, 2^width); reading
+        # through the _draw alias, not the draw attribute, keeps it one
+        # call per request for a wrapper installed on draw
+        while True:
+            v = self._draw(width)
+            if v:
+                return v
+
+    def draw_block(self, count: int, width: int) -> bytes:
+        """The next count draw(width) values, one byte each, width <= 8.
+
+        The tape ends where count draws would leave it.
+        """
+        if count < 0:
+            raise ValueError(f"block draws need a count >= 0, got {count}")
+        if not 1 <= width <= 8:
+            raise ValueError(f"block draws are 1..8 bits wide, got {width}")
+        if self._pos + count > len(self._buf):
+            self._fill(count)
+        p = self._pos
+        self._pos = p + count
+        out = self._buf[p:p + count]
+        return out if width == 8 else out.translate(_TOP_BITS[width])
+
+    def spawn(self) -> "SeededTape":
+        """Derive an independent child tape (splittable use)."""
+        return SeededTape(self._next64())
+
+
+class ReplayTape:
+    """Feeds back a fixed list of values; used for tape enumeration."""
+
+    __slots__ = ("_values", "_i")
+
+    def __init__(self, values):
+        self._values = values
+        self._i = 0
+
+    def draw(self, width):
+        v = self._values[self._i]
+        self._i += 1
+        return v
+
+    draw_nonzero = draw
+
+    def draw_block(self, count, width):
+        end = self._i + count
+        if end > len(self._values):
+            raise IndexError("replay tape exhausted")
+        v = bytes(self._values[self._i:end])
+        self._i = end
+        return v
+
+    def rewind(self, values=None):
+        if values is not None:
+            self._values = values
+        self._i = 0
+
+
+class DomainTape:
+    """Records the draw schedule of a run; returns fixed legal values."""
+
+    __slots__ = ("schedule",)
+
+    def __init__(self):
+        self.schedule = []
+
+    def draw(self, width):
+        self.schedule.append((width, False))
+        return 0
+
+    def draw_nonzero(self, width):
+        self.schedule.append((width, True))
+        return 1
+
+    def draw_block(self, count, width):
+        self.schedule.extend([(width, False)] * count)
+        return bytes(count)

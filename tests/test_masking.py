@@ -69,6 +69,19 @@ class TestTapes:
         for _ in range(5000):
             assert tape.draw_nonzero(1) == 1
 
+    def test_draw_nonzero_reads_the_tape_without_calling_draw(self, monkeypatch):
+        # a wrapper installed on draw, such as a call-counting tracer, must
+        # see one call per request, so draw_nonzero may not go through it
+        ref = splitmix64_ref(7)
+        tape = SeededTape(7)
+        monkeypatch.setattr(SeededTape, "draw",
+                            lambda self, width: pytest.fail("draw called"))
+        for _ in range(40):
+            want = next(ref) >> 60
+            while not want:
+                want = next(ref) >> 60
+            assert tape.draw_nonzero(4) == want
+
     def test_spawn_diverges_from_parent(self):
         parent = SeededTape(3)
         child = parent.spawn()
@@ -115,6 +128,17 @@ class TestTapes:
         with pytest.raises(ValueError):
             SeededTape(1).draw_block(4, width)
 
+    @pytest.mark.parametrize("count", [-1, -40])
+    def test_negative_block_count_rejected_before_the_tape_moves(self, count):
+        tape = SeededTape(5)
+        ref = splitmix64_ref(5)
+        assert tape.draw(8) == next(ref) >> 56
+        state = tape._state
+        with pytest.raises(ValueError, match="count"):
+            tape.draw_block(count, 8)
+        assert tape._state == state
+        assert tape.draw(8) == next(ref) >> 56
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 600), st.integers(0, 2 ** 64 - 1),
@@ -128,6 +152,68 @@ def test_draw_block_equals_a_loop_of_draws(width, count, seed, before):
         loop_tape.draw(width) for _ in range(count))
     assert block_tape._state == loop_tape._state
     assert block_tape.draw(8) == loop_tape.draw(8)
+
+
+class ScalarSplitMix:
+    """One SplitMix64 step per draw, with the state in the open."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK64
+
+    def next64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def draw(self, width):
+        return self.next64() >> (64 - width)
+
+    def draw_nonzero(self, width):
+        while True:
+            v = self.draw(width)
+            if v:
+                return v
+
+
+# a tape request: ("draw", width, repeats), ("nonzero", width, repeats),
+# ("block", count, width), ("spawn",) or ("state",)
+_TAPE_STEPS = st.one_of(
+    st.tuples(st.just("draw"), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]),
+              st.integers(1, 80)),
+    st.tuples(st.just("nonzero"), st.integers(1, 8), st.integers(1, 80)),
+    st.tuples(st.just("block"), st.integers(0, 1500), st.integers(1, 8)),
+    st.tuples(st.just("spawn")),
+    st.tuples(st.just("state")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.lists(_TAPE_STEPS, max_size=25))
+def test_look_ahead_tape_equals_scalar_splitmix(seed, steps):
+    # refills, blocks larger than the look-ahead cap, spawns and wide
+    # draws interleave; every value and every state must be the scalar one
+    tape, ref = SeededTape(seed), ScalarSplitMix(seed)
+    for step in steps:
+        kind = step[0]
+        if kind == "draw":
+            _, width, times = step
+            for _ in range(times):
+                assert tape.draw(width) == ref.draw(width)
+        elif kind == "nonzero":
+            _, width, times = step
+            for _ in range(times):
+                assert tape.draw_nonzero(width) == ref.draw_nonzero(width)
+        elif kind == "block":
+            _, count, width = step
+            assert tape.draw_block(count, width) == bytes(
+                ref.draw(width) for _ in range(count))
+        elif kind == "spawn":
+            tape, ref = tape.spawn(), ScalarSplitMix(ref.next64())
+        assert tape._state == ref.state
+    assert tape.draw(8) == ref.draw(8)
+    assert tape._state == ref.state
 
 
 class TestSharing:
@@ -337,6 +423,28 @@ class TestGadgetSemantics:
         expected = trials / 16
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 37.70, f"chi-square {chi2:.1f} exceeds p=0.001 cutoff"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("w", range(1, 9))
+def test_untraced_sec_nonzero_equals_traced(n, w):
+    # the traced context runs the scalar reference, the untraced one the
+    # inline fold; every value for w <= 4, a sample above
+    field = field_new(w)
+    values = range(field.q) if w <= 4 else [0, 1, field.q - 1] + random.Random(
+        w * 10 + n).sample(range(2, field.q - 1), 24)
+    for x in values:
+        seed = (x << 8) | (w << 4) | n
+        traced = MaskingContext(field, n, seed=seed)
+        packed = MaskingContext(field, n, seed=seed)
+        shares = bool_share(traced, x)
+        assert bool_share(packed, x) == shares
+        traced.trace = []
+        out = sec_nonzero(traced, shares)
+        assert sec_nonzero(packed, shares) == out
+        assert bool_unshare(out) == (x != 0)
+        assert packed.counters.snapshot() == traced.counters.snapshot()
+        assert packed.rng._state == traced.rng._state
 
 
 class TestTraceShapes:
