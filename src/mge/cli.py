@@ -22,9 +22,8 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 
-from .gf import FieldSpec, field_new
+from .gf import FieldSpec, _mul_ref, field_new
 from .masking import (
     DEFAULT_SEED,
     MaskingContext,
@@ -51,37 +50,6 @@ EXIT_LEAK = 4
 EXIT_SELFTEST = 5
 
 
-@dataclass
-class RunConfig:
-    command: str
-    w: int = 4
-    poly: int | None = None
-    n: int = 2
-    seed: int = DEFAULT_SEED
-    in_path: str | None = None
-    out_path: str | None = None
-    unmasked: bool = False
-    compare: bool = False
-    random_count: int = 0
-    q: int = 16
-    m: int = 4
-    schemes: str = "all"
-    orders: tuple = (2, 3, 4)
-    verify: bool = False
-    gadget: str | None = None
-    mode: str = "exhaustive"
-    pipeline: str | None = None
-    samples: int = 20000
-    threshold: float = 4.5
-    json_path: str | None = None
-    param: str | None = None
-    shares: tuple = (2,)
-    iters: int = 5
-    no_timing: bool = False
-    suites: tuple = ()
-    exhaustive: bool = False
-
-
 def _field_for_q(q: int) -> FieldSpec:
     w = q.bit_length() - 1
     if q < 2 or (1 << w) != q or w > 8:
@@ -104,15 +72,15 @@ def _parse_system(path: str) -> LinearSystem:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: argparse.Namespace) -> int:
     if cfg.in_path:
         systems = [_parse_system(cfg.in_path)]
-    elif cfg.random_count:
+    elif cfg.random and cfg.count:
         fieldspec = _field_for_q(cfg.q)
         rng = random.Random(cfg.seed)
         systems = [
             random_system(fieldspec, cfg.m, rng, invertible=False)
-            for _ in range(cfg.random_count)
+            for _ in range(cfg.count)
         ]
     else:
         print("solve needs --in FILE or --random", file=sys.stderr)
@@ -147,7 +115,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_SINGULAR if saw_singular else EXIT_OK
 
 
-def cmd_cost_table(cfg: RunConfig) -> int:
+def cmd_cost_table(cfg: argparse.Namespace) -> int:
     if cfg.schemes == "all":
         params = cm.PARAM_SETS
     else:
@@ -186,8 +154,8 @@ def cmd_cost_table(cfg: RunConfig) -> int:
     return EXIT_TABLE if bad else EXIT_OK
 
 
-def cmd_leakcheck(cfg: RunConfig) -> int:
-    fieldspec = field_new(cfg.w, cfg.poly)
+def cmd_leakcheck(cfg: argparse.Namespace) -> int:
+    fieldspec = field_new(cfg.w)
     statistical = cfg.pipeline or cfg.mode == "statistical"
     if statistical and cfg.samples < 4:
         # a Welch t needs a sample variance, so two traces per class
@@ -206,7 +174,7 @@ def cmd_leakcheck(cfg: RunConfig) -> int:
         label = target
     elif cfg.gadget:
         try:
-            spec = pl.lookup(_canon_gadget(cfg.gadget))
+            spec = pl.lookup(cfg.gadget)
         except pl.UnknownGadget:
             print(f"unknown gadget {cfg.gadget!r}", file=sys.stderr)
             return EXIT_USAGE
@@ -240,15 +208,7 @@ def cmd_leakcheck(cfg: RunConfig) -> int:
     return EXIT_OK if summary["pass"] else EXIT_LEAK
 
 
-def _canon_gadget(name: str) -> str:
-    flat = name.lower().replace("-", "").replace("_", "")
-    for key in pl.REGISTRY:
-        if key.replace("_", "") == flat:
-            return key
-    return name
-
-
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: argparse.Namespace) -> int:
     param = cm.PRESETS.get(cfg.param or "")
     if param is None:
         print(f"unknown preset {cfg.param!r} (see cost-table --schemes all)",
@@ -296,19 +256,7 @@ def cmd_bench(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- selftest
 
 
-def _suite_gf(cfg: RunConfig):
-    def peasant(a, b, poly, w):
-        top = 1 << w
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= poly
-        return acc
-
+def _suite_gf(cfg):
     f16 = field_new(4)
     f256 = field_new(8)
     if f16.mul(0x2, 0x9) != 1 or f256.mul(0x53, 0xCA) != 1:
@@ -321,13 +269,13 @@ def _suite_gf(cfg: RunConfig):
     if cfg.exhaustive:
         for a in range(16):
             for b in range(16):
-                if f16.mul(a, b) != peasant(a, b, f16.poly, 4):
+                if f16.mul(a, b) != _mul_ref(a, b, f16.poly, 4):
                     return False, f"GF(16) mul mismatch at ({a},{b})"
                 pairs += 1
         rng = random.Random(cfg.seed)
         for _ in range(20000):
             a, b = rng.randrange(256), rng.randrange(256)
-            if f256.mul(a, b) != peasant(a, b, f256.poly, 8):
+            if f256.mul(a, b) != _mul_ref(a, b, f256.poly, 8):
                 return False, f"GF(256) mul mismatch at ({a},{b})"
             pairs += 1
     else:
@@ -335,13 +283,13 @@ def _suite_gf(cfg: RunConfig):
         for _ in range(2000):
             f = f16 if rng.random() < 0.5 else f256
             a, b = rng.randrange(f.q), rng.randrange(f.q)
-            if f.mul(a, b) != peasant(a, b, f.poly, f.w):
+            if f.mul(a, b) != _mul_ref(a, b, f.poly, f.w):
                 return False, f"mul mismatch at ({a},{b}) w={f.w}"
             pairs += 1
     return True, f"{pairs} products cross-checked"
 
 
-def _suite_sharing(cfg: RunConfig):
+def _suite_sharing(cfg):
     rng = random.Random(cfg.seed)
     checks = 0
     for w in (4, 8):
@@ -356,7 +304,7 @@ def _suite_sharing(cfg: RunConfig):
     return True, f"{checks} share/unshare roundtrips"
 
 
-def _suite_gadgets(cfg: RunConfig):
+def _suite_gadgets(cfg):
     rng = random.Random(cfg.seed)
     checks = 0
     for w in (4, 8):
@@ -391,32 +339,30 @@ def _suite_gadgets(cfg: RunConfig):
     return True, f"{checks} gadget evaluations match plain arithmetic"
 
 
-def _suite_counters(cfg: RunConfig):
+def _suite_counters(cfg):
     checked = 0
-    for gadget in ("refresh", "strong_refresh", "full_add", "sec_mult",
-                   "sec_and", "sec_not", "sec_or", "sec_nonzero", "b2m",
-                   "b2minv"):
+    for spec in cm.GADGET_SPECS:
+        if "row" in spec.kinds:
+            sizes = (1, 2, 10)
+        elif spec.sized:
+            continue  # the matrix gadgets: see pipeline-counters
+        else:
+            sizes = (None,)
         for n in (2, 3, 4, 5):
             for w in (4, 8):
-                ck = cm.counter_vs_formula(gadget, n, w=w, seed=cfg.seed)
-                if not ck.exact:
-                    return False, (f"{gadget} n={n} w={w}: ops {ck.ops_run} vs "
-                                   f"{ck.ops_form}, bits {ck.bits_run} vs "
-                                   f"{ck.bits_form}")
-                checked += 1
-    for gadget in ("sec_cond_add", "sec_scalar_mult", "sec_mult_sub"):
-        for n in (2, 3, 4, 5):
-            for w in (4, 8):
-                for l in (1, 2, 10):
-                    ck = cm.counter_vs_formula(gadget, n, w=w, size=l,
+                for size in sizes:
+                    ck = cm.counter_vs_formula(spec.name, n, w=w, size=size,
                                                seed=cfg.seed)
                     if not ck.exact:
-                        return False, f"{gadget} n={n} w={w} l={l} not exact"
+                        at = "" if size is None else f" l={size}"
+                        return False, (f"{spec.name} n={n} w={w}{at}: ops "
+                                       f"{ck.ops_run} vs {ck.ops_form}, bits "
+                                       f"{ck.bits_run} vs {ck.bits_form}")
                     checked += 1
     return True, f"{checked} counter deltas equal the closed forms exactly"
 
 
-def _suite_pipeline_counters(cfg: RunConfig):
+def _suite_pipeline_counters(cfg):
     for (n, m, w) in ((2, 6, 8), (3, 5, 4)):
         ck = cm.counter_vs_formula("pipeline", n, w=w, size=m, seed=cfg.seed)
         slip_ops = m * (cm.t_cost("sec_cond_add", n, 1)
@@ -430,7 +376,7 @@ def _suite_pipeline_counters(cfg: RunConfig):
     return True, "measured = form - m*(T_ca(1)+T_ms(1)) ops, - 3mh bits, exact"
 
 
-def _suite_oracle(cfg: RunConfig):
+def _suite_oracle(cfg):
     rng = random.Random(cfg.seed)
     agree = 0
     for trial in range(60):
@@ -457,7 +403,7 @@ def _suite_oracle(cfg: RunConfig):
     return True, f"{agree} systems agree (values, singularity, abort index)"
 
 
-def _suite_packed_path(cfg: RunConfig):
+def _suite_packed_path(cfg):
     param = cm.PRESETS["uov-ip"]
     fieldspec = field_new(param.w)
     sysm = random_system(fieldspec, param.m, random.Random(cfg.seed))
@@ -476,7 +422,7 @@ def _suite_packed_path(cfg: RunConfig):
                   f"agree on x, {ops} ops, {bits} bits, tape state")
 
 
-def _suite_probe_shape(cfg: RunConfig):
+def _suite_probe_shape(cfg):
     tr = pl.record_trace("refresh", field_new(4), 2, seed=cfg.seed)
     if len(tr.ids) != 4:
         return False, f"refresh n=2 trace has {len(tr.ids)} points, want 4"
@@ -491,7 +437,7 @@ def _suite_probe_shape(cfg: RunConfig):
     return True, "point sequences stable; refresh n=2 has exactly 4 points"
 
 
-def _suite_leak_broken(cfg: RunConfig):
+def _suite_leak_broken(cfg):
     f16 = field_new(4)
     ok = pl.leak_summary(pl.exhaustive_first_order("refresh", f16, 2))
     if not ok["pass"]:
@@ -503,7 +449,7 @@ def _suite_leak_broken(cfg: RunConfig):
     return True, "broken variants caught; refresh clean"
 
 
-def _suite_cost_anchors(cfg: RunConfig):
+def _suite_cost_anchors(cfg):
     anchors = [
         (cm.t_cost("sec_cond_add", 2, 1), 14),
         (cm.t_cost("sec_nonzero", 2, w=8), 103),
@@ -521,7 +467,7 @@ def _suite_cost_anchors(cfg: RunConfig):
     return True, f"{len(anchors)} frozen cost anchors hold"
 
 
-def _suite_table(cfg: RunConfig):
+def _suite_table(cfg):
     rows = cm.cost_table()
     if len(rows) != 93:
         return False, f"{len(rows)} rows, want 93"
@@ -549,7 +495,7 @@ _SUITES = (
 )
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(cfg: argparse.Namespace) -> int:
     wanted = set(cfg.suites) if cfg.suites else None
     names = {name for name, _ in _SUITES}
     if wanted and not wanted <= names:
@@ -653,14 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
-    cfg = RunConfig(command=ns.command, seed=_resolve_seed(ns.seed))
-    for key, value in vars(ns).items():
-        if key in ("command", "seed"):
-            continue
-        if hasattr(cfg, key):
-            setattr(cfg, key, value)
-    if cfg.command == "solve" and getattr(ns, "random", False):
-        cfg.random_count = ns.count
+    ns.seed = _resolve_seed(ns.seed)
     try:
         handler = {
             "solve": cmd_solve,
@@ -668,8 +607,8 @@ def main(argv=None) -> int:
             "leakcheck": cmd_leakcheck,
             "bench": cmd_bench,
             "selftest": cmd_selftest,
-        }[cfg.command]
-        return handler(cfg)
+        }[ns.command]
+        return handler(ns)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,10 @@
-"""Closed-form operation and randomness counts, plus the scheme table.
+"""The gadget table, closed-form costs, and the scheme table.
 
-t_cost / r_cost return the per-gadget closed forms in exact integer
-arithmetic. The elimination total composes them:
+GADGET_SPECS declares every gadget once: its callable, input kinds,
+closed forms and the probing lab's default secrets. The forms that a
+fast path charges are declared beside that path (mge.rowops,
+mge.masking) and referenced here. t_cost / r_cost return the forms in
+exact integer arithmetic. The elimination total composes them:
 
   T_ech = P(m) (T_nonzero + 1)            step 1: liveness + flip, per try
         + S(m) T_cond_add(1)              step 1: conditional row adds
@@ -45,6 +48,8 @@ from .masking import (
     b2minv,
     bool_share,
     full_add,
+    nonzero_bits,
+    nonzero_ops,
     refresh,
     sec_and,
     sec_mult,
@@ -54,21 +59,21 @@ from .masking import (
     strong_refresh,
 )
 from .linalg import random_system, sec_back_sub, sec_row_ech, share_system
-from .rowops import row_share, sec_cond_add, sec_mult_sub, sec_scalar_mult
+from .rowops import (
+    cond_add_bits,
+    cond_add_ops,
+    mult_sub_bits,
+    mult_sub_ops,
+    row_share,
+    scalar_mult_bits,
+    scalar_mult_ops,
+    sec_cond_add,
+    sec_mult_sub,
+    sec_scalar_mult,
+)
 
 OPS_DIVISOR = 8192
 RAND_DIVISOR = 1000
-
-_SIZED = {"sec_cond_add", "sec_scalar_mult", "sec_mult_sub",
-          "sec_row_ech", "sec_back_sub", "pipeline"}
-_NEEDS_W = {"sec_nonzero", "sec_row_ech", "pipeline"}
-
-GADGETS = (
-    "refresh", "strong_refresh", "full_add", "sec_mult", "sec_and",
-    "sec_not", "sec_or", "sec_nonzero", "b2m", "b2minv",
-    "sec_cond_add", "sec_scalar_mult", "sec_mult_sub",
-    "sec_row_ech", "sec_back_sub", "pipeline",
-)
 
 
 def w_eff(q: int) -> int:
@@ -76,61 +81,55 @@ def w_eff(q: int) -> int:
     return (q - 1).bit_length()
 
 
-def _levels(w: int) -> int:
-    # the closed forms count ceil(log2(w+1)) fold levels
-    return w.bit_length()
+# ------------------------------------------------------------ gadget table
 
 
-def _check_args(gadget: str, size, w, n=2):
-    if gadget not in GADGETS:
-        raise ValueError(f"unknown gadget {gadget!r}")
-    if n < 2:
-        raise ValueError(f"forms assume n >= 2 shares, got {n}")
-    if gadget in _SIZED:
-        if size is None:
-            raise ValueError(f"{gadget} needs a size")
-    elif size is not None:
-        raise ValueError(f"{gadget} takes no size")
-    if gadget in _NEEDS_W and w is None:
-        raise ValueError(f"{gadget} needs w")
+@dataclass(frozen=True)
+class GadgetSpec:
+    """One gadget: callable, input kinds, closed forms, default secrets.
+
+    kinds, one per input in call order: "bool" (Boolean sharing of a
+    field element), "nonzero" (the same of a nonzero one), "bit" (of one
+    bit), "mult" (multiplicative sharing), "row" (shared row of length
+    size), "system" (shared random invertible system of size m) and
+    "echelon" (the same after sec_row_ech). t and r map (n, size, w) to
+    the closed-form ops and random bits. needs_w marks op forms that
+    read w. secrets are the probing lab's default assignments, covering
+    zero and edge cases where the domain allows; none: not checked there.
+    """
+
+    name: str
+    fn: object
+    kinds: tuple
+    t: object
+    r: object
+    needs_w: bool = False
+    secrets: tuple = ()
+
+    @property
+    def sized(self) -> bool:
+        return not _SIZED_KINDS.isdisjoint(self.kinds)
 
 
-def t_cost(gadget: str, n: int, size: int | None = None,
-           w: int | None = None) -> int:
-    """Closed-form op count; size is l for row gadgets, m for matrix ones."""
-    _check_args(gadget, size, w, n)
-    if gadget == "refresh":
-        return 4 * n - 3
-    if gadget == "strong_refresh":
-        return (3 * n * n - 3 * n) // 2
-    if gadget == "full_add":
-        return (3 * n * n - n - 2) // 2
-    if gadget in ("sec_mult", "sec_and"):
-        return (7 * n * n - 5 * n) // 2
-    if gadget == "sec_not":
-        return 1
-    if gadget == "sec_or":
-        return 2 * n + (7 * n * n - 5 * n) // 2 + 1
-    if gadget == "sec_nonzero":
-        return (5 * n * n + 2 * n - 1) + _levels(w) * (5 * n * n - n + 2)
-    if gadget == "b2m":
-        return (5 * n * n - 7 * n + 4) // 2
-    if gadget == "b2minv":
-        return (5 * n * n - 5 * n + 4) // 2
-    if gadget == "sec_cond_add":
-        return (5 * n * n - 3 * n) * size
-    if gadget == "sec_scalar_mult":
-        return (5 * n * n - 3 * n) * size
-    if gadget == "sec_mult_sub":
-        return (7 * n * n - 3 * n) // 2 * size
-    if gadget == "sec_back_sub":
-        return size * (3 * n * n - n - 2) // 2 + n * size * (size - 1)
-    m = size
+_SIZED_KINDS = frozenset({"row", "system", "echelon"})
+_MATRIX_KINDS = frozenset({"system", "echelon"})
+
+
+def _pair_bits(n, l, w):
+    # one fresh w-bit random per share pair
+    return (n * n - n) // 2 * w
+
+
+def _isw_ops(n, l, w):
+    return (7 * n * n - 5 * n) // 2
+
+
+def _t_row_ech(n, m, w):
     pairs = (m * m - m) // 2
     slices = (m * m + 3 * m) // 2
     ssum = (2 * m ** 3 + 3 * m * m + m) // 6
     t_nz = t_cost("sec_nonzero", n, w=w)
-    ech = (
+    return (
         pairs * (t_nz + 1)
         + ssum * t_cost("sec_cond_add", n, 1)
         + m * (t_nz + t_cost("full_add", n) + 1)
@@ -139,40 +138,15 @@ def t_cost(gadget: str, n: int, size: int | None = None,
         + pairs * t_cost("strong_refresh", n)
         + ssum * t_cost("sec_mult_sub", n, 1)
     )
-    if gadget == "sec_row_ech":
-        return ech
-    return ech + t_cost("sec_back_sub", n, m)
 
 
-def r_cost(gadget: str, n: int, size: int | None = None,
-           w: int | None = None) -> int:
-    """Closed-form randomness in bits; same size conventions as t_cost."""
-    _check_args(gadget, size, w, n)
-    if gadget == "sec_not":
-        return 0
-    if w is None:
-        raise ValueError("r_cost needs w")
-    h = (n * n - n) // 2 * w
-    if gadget == "refresh":
-        return (n - 1) * w
-    if gadget in ("strong_refresh", "full_add", "sec_mult", "sec_and",
-                  "sec_or", "b2m", "b2minv"):
-        return h
-    if gadget == "sec_nonzero":
-        levels = _levels(w)
-        return (levels * levels - levels) // 2 * (n * n - n)
-    if gadget in ("sec_cond_add", "sec_scalar_mult"):
-        return (n * n - n) * size * w
-    if gadget == "sec_mult_sub":
-        return h * size
-    if gadget == "sec_back_sub":
-        return size * h
-    m = size
+def _r_row_ech(n, m, w):
+    h = _pair_bits(n, m, w)
     pairs = (m * m - m) // 2
     slices = (m * m + 3 * m) // 2
     ssum = (2 * m ** 3 + 3 * m * m + m) // 6
     r_nz = r_cost("sec_nonzero", n, w=w)
-    ech = (
+    return (
         pairs * r_nz
         + ssum * 2 * h
         + m * (r_nz + 2 * h)
@@ -180,9 +154,111 @@ def r_cost(gadget: str, n: int, size: int | None = None,
         + pairs * h
         + ssum * h
     )
-    if gadget == "sec_row_ech":
-        return ech
-    return ech + r_cost("sec_back_sub", n, m, w=w)
+
+
+def _eliminate(ctx, rows):
+    # masked_solve without the sharing; the random systems that
+    # counter_vs_formula builds are invertible, so nothing aborts
+    sec_row_ech(ctx, rows)
+    return sec_back_sub(ctx, rows)
+
+
+def _each(values):
+    return tuple((v,) for v in values)
+
+
+_B = _each((0, 1, 2, 5, 7, 8, 0xA, 0xF))
+_NZ = _each((1, 2, 3, 5, 8, 0xA, 0xD, 0xF))
+_PAIRS = ((0, 0), (0, 5), (1, 1), (1, 0xF), (3, 7), (5, 0xA), (0xF, 0xF),
+          (9, 2), (0xB, 0x6))
+
+GADGET_SPECS = (
+    GadgetSpec("refresh", refresh, ("bool",),
+               t=lambda n, l, w: 4 * n - 3,
+               r=lambda n, l, w: (n - 1) * w, secrets=_B),
+    GadgetSpec("strong_refresh", strong_refresh, ("bool",),
+               t=lambda n, l, w: (3 * n * n - 3 * n) // 2,
+               r=_pair_bits, secrets=_B),
+    GadgetSpec("full_add", full_add, ("bool",),
+               t=lambda n, l, w: (3 * n * n - n - 2) // 2, r=_pair_bits),
+    GadgetSpec("sec_mult", sec_mult, ("bool", "bool"),
+               t=_isw_ops, r=_pair_bits, secrets=_PAIRS),
+    GadgetSpec("sec_and", sec_and, ("bool", "bool"),
+               t=_isw_ops, r=_pair_bits, secrets=_PAIRS),
+    GadgetSpec("sec_not", sec_not, ("bit",),
+               t=lambda n, l, w: 1, r=lambda n, l, w: 0),
+    GadgetSpec("sec_or", sec_or, ("bool", "bool"),
+               t=lambda n, l, w: 2 * n + (7 * n * n - 5 * n) // 2 + 1,
+               r=_pair_bits),
+    GadgetSpec("sec_nonzero", sec_nonzero, ("bool",),
+               t=lambda n, l, w: nonzero_ops(n, w),
+               r=lambda n, l, w: nonzero_bits(n, w), needs_w=True,
+               secrets=_each((0, 1, 2, 4, 5, 7, 8, 0xA, 0xF))),
+    GadgetSpec("b2m", b2m, ("nonzero",),
+               t=lambda n, l, w: (5 * n * n - 7 * n + 4) // 2,
+               r=_pair_bits, secrets=_NZ),
+    GadgetSpec("b2minv", b2minv, ("nonzero",),
+               t=lambda n, l, w: (5 * n * n - 5 * n + 4) // 2,
+               r=_pair_bits, secrets=_NZ),
+    GadgetSpec("sec_cond_add", sec_cond_add, ("bit", "row", "row"),
+               t=lambda n, l, w: cond_add_ops(n, l), r=cond_add_bits,
+               secrets=((0, 0, 0), (1, 0, 0), (0, 5, 9), (1, 5, 9),
+                        (1, 0xF, 0xF), (0, 1, 0xF), (1, 0, 7), (1, 1, 1),
+                        (0, 0xA, 3))),
+    GadgetSpec("sec_scalar_mult", sec_scalar_mult, ("mult", "row"),
+               t=lambda n, l, w: scalar_mult_ops(n, l), r=scalar_mult_bits,
+               secrets=((1, 0), (1, 5), (2, 0), (2, 9), (0xF, 0xF), (3, 1),
+                        (7, 0xA), (5, 5))),
+    GadgetSpec("sec_mult_sub", sec_mult_sub, ("bool", "row", "row"),
+               t=lambda n, l, w: mult_sub_ops(n, l), r=mult_sub_bits,
+               secrets=((0, 0, 0), (1, 1, 1), (0, 5, 9), (2, 7, 3),
+                        (0xF, 0xF, 0xF), (5, 0, 0xA), (8, 2, 0), (1, 0xF, 0),
+                        (6, 6, 6))),
+    GadgetSpec("sec_row_ech", sec_row_ech, ("system",),
+               t=_t_row_ech, r=_r_row_ech, needs_w=True),
+    GadgetSpec("sec_back_sub", sec_back_sub, ("echelon",),
+               t=lambda n, m, w: m * (3 * n * n - n - 2) // 2 + n * m * (m - 1),
+               r=lambda n, m, w: m * _pair_bits(n, m, w)),
+    GadgetSpec("pipeline", _eliminate, ("system",),
+               t=lambda n, m, w: (_t_row_ech(n, m, w)
+                                  + t_cost("sec_back_sub", n, m)),
+               r=lambda n, m, w: (_r_row_ech(n, m, w)
+                                  + r_cost("sec_back_sub", n, m, w=w)),
+               needs_w=True),
+)
+
+_BY_NAME = {g.name: g for g in GADGET_SPECS}
+
+
+def _check_args(gadget: str, size, w, n) -> GadgetSpec:
+    spec = _BY_NAME.get(gadget)
+    if spec is None:
+        raise ValueError(f"unknown gadget {gadget!r}")
+    if n < 2:
+        raise ValueError(f"forms assume n >= 2 shares, got {n}")
+    if spec.sized:
+        if size is None:
+            raise ValueError(f"{gadget} needs a size")
+    elif size is not None:
+        raise ValueError(f"{gadget} takes no size")
+    if spec.needs_w and w is None:
+        raise ValueError(f"{gadget} needs w")
+    return spec
+
+
+def t_cost(gadget: str, n: int, size: int | None = None,
+           w: int | None = None) -> int:
+    """Closed-form op count; size is l for row gadgets, m for matrix ones."""
+    return _check_args(gadget, size, w, n).t(n, size, w)
+
+
+def r_cost(gadget: str, n: int, size: int | None = None,
+           w: int | None = None) -> int:
+    """Closed-form randomness in bits; same size conventions as t_cost."""
+    spec = _check_args(gadget, size, w, n)
+    if w is None:
+        raise ValueError("r_cost needs w")
+    return spec.r(n, size, w)
 
 
 def tabulated_pipeline_ops(n: int, m: int, w: int) -> int:
@@ -389,76 +465,44 @@ class CounterCheck:
         return self.ops_run == self.ops_form and self.bits_run == self.bits_form
 
 
+def _random_input(ctx, rng, kind, size):
+    q = ctx.field.q
+    if kind == "row":
+        return row_share(ctx, [rng.randrange(q) for _ in range(size)])
+    if kind == "mult":
+        return [rng.randrange(1, q) for _ in range(ctx.n)]
+    if kind in _MATRIX_KINDS:
+        rows = share_system(ctx, random_system(ctx.field, size, rng))
+        if kind == "echelon":
+            sec_row_ech(ctx, rows)
+        return rows
+    lo, hi = {"bool": (0, q), "nonzero": (1, q), "bit": (0, 2)}[kind]
+    return bool_share(ctx, rng.randrange(lo, hi))
+
+
 def counter_vs_formula(gadget: str, n: int, w: int = 8,
                        size: int | None = None, seed: int = 1) -> CounterCheck:
     """Run one gadget on random inputs and compare counter deltas.
 
-    Unit gadgets run traced, on the scalar reference; the whole-solve
-    sizes run untraced, on the packed paths.
+    Unit and row gadgets run traced, on the scalar reference; the
+    matrix ones run untraced, on the packed paths.
     """
-    _check_args(gadget, size, w, n)
-    field = field_new(w)
-    ctx = MaskingContext(field, n, seed=seed)
+    spec = _check_args(gadget, size, w, n)
+    ctx = MaskingContext(field_new(w), n, seed=seed)
     rng = random.Random(seed ^ 0x5A5A5A)
-
-    def sh(v=None):
-        if v is None:
-            v = rng.randrange(field.q)
-        return bool_share(ctx, v)
-
-    def row(l):
-        return row_share(ctx, [rng.randrange(field.q) for _ in range(l)])
-
-    if gadget in ("sec_row_ech", "sec_back_sub", "pipeline"):
-        sysm = random_system(field, size, rng)
-        rows = share_system(ctx, sysm)
-        if gadget == "sec_back_sub":
-            fail = sec_row_ech(ctx, rows)
-            assert fail is None
-        before = ctx.counters.snapshot()
-        if gadget == "sec_row_ech":
-            assert sec_row_ech(ctx, rows) is None
-        elif gadget == "sec_back_sub":
-            sec_back_sub(ctx, rows)
-        else:
-            assert sec_row_ech(ctx, rows) is None
-            sec_back_sub(ctx, rows)
-    else:
-        args = None
-        if gadget in ("refresh", "strong_refresh", "full_add", "sec_nonzero"):
-            args = (sh(),)
-        elif gadget == "sec_not":
-            args = (sh(rng.randrange(2)),)
-        elif gadget in ("sec_mult", "sec_and", "sec_or"):
-            args = (sh(), sh())
-        elif gadget in ("b2m", "b2minv"):
-            args = (sh(rng.randrange(1, field.q)),)
-        elif gadget == "sec_cond_add":
-            args = (sh(rng.randrange(2)), row(size), row(size))
-        elif gadget == "sec_scalar_mult":
-            p = b2minv(ctx, sh(rng.randrange(1, field.q)))
-            args = (p, row(size))
-        elif gadget == "sec_mult_sub":
-            args = (sh(), row(size), row(size))
-        fn = {
-            "refresh": refresh, "strong_refresh": strong_refresh,
-            "full_add": full_add, "sec_mult": sec_mult, "sec_and": sec_and,
-            "sec_not": sec_not, "sec_or": sec_or, "sec_nonzero": sec_nonzero,
-            "b2m": b2m, "b2minv": b2minv, "sec_cond_add": sec_cond_add,
-            "sec_scalar_mult": sec_scalar_mult, "sec_mult_sub": sec_mult_sub,
-        }[gadget]
+    args = [_random_input(ctx, rng, kind, size) for kind in spec.kinds]
+    if _MATRIX_KINDS.isdisjoint(spec.kinds):
         # a throwaway probe trace runs the scalar reference: its executed
         # counts, not the packed paths' closed-form charges, meet the forms
         ctx.trace = []
-        before = ctx.counters.snapshot()
-        fn(ctx, *args)
+    before = ctx.counters.snapshot()
+    spec.fn(ctx, *args)
     after = ctx.counters.snapshot()
-    kw = {"w": w} if gadget in _NEEDS_W else {}
     return CounterCheck(
         gadget=gadget, n=n, w=w, size=size,
         ops_run=after[0] - before[0],
-        ops_form=t_cost(gadget, n, size, **kw),
+        ops_form=spec.t(n, size, w),
         bits_run=after[2] - before[2],
-        bits_form=r_cost(gadget, n, size, w=w),
+        bits_form=spec.r(n, size, w),
         draws_run=after[1] - before[1],
     )

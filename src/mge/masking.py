@@ -35,6 +35,8 @@ with "pub" mark sanctioned public outputs.
 
 from __future__ import annotations
 
+from operator import and_
+
 from .gf import FieldSpec
 from .tape import DEFAULT_SEED, SeededTape
 from .tape import DomainTape, ReplayTape  # noqa: F401  (re-exported)
@@ -210,70 +212,53 @@ def full_add(ctx: MaskingContext, x: list[int]) -> int:
 # ---------------------------------------------------------------- products
 
 
-def sec_mult(ctx: MaskingContext, x: list[int], y: list[int]) -> list[int]:
-    """Cross-product multiplication: ops (7n^2-5n)/2, bits (n^2-n)/2 w."""
+def _isw(ctx: MaskingContext, x: list[int], y: list[int], prod, tag: str,
+         width: int | None) -> list[int]:
+    """ISW cross products (Ishai, Sahai & Wagner, CRYPTO 2003).
+
+    prod is the share-wise product, tag the label prefix, width the
+    draw width (None: the field width). ops (7n^2-5n)/2, one draw per
+    share pair.
+    """
     n = ctx.n
-    mul = ctx.field.mul
     c = ctx.counters
     tr = ctx.trace
     z = [0] * n
     for i in range(n):
-        z[i] = mul(x[i], y[i])
+        z[i] = prod(x[i], y[i])
         if tr is not None:
-            ctx.emit(z[i], ("smul", "pp", i, i))
+            ctx.emit(z[i], (tag, "pp", i, i))
     c.ops += n
     for i in range(n - 1):
         for j in range(i + 1, n):
-            r = ctx.rand()
-            p = mul(x[i], y[j])
+            r = ctx.rand(width)
+            p = prod(x[i], y[j])
             u = r ^ p
-            q = mul(x[j], y[i])
+            q = prod(x[j], y[i])
             t = u ^ q  # ordering matters: (r + x_i y_j) + x_j y_i
             z[i] ^= r
             z[j] ^= t
             c.ops += 6
             if tr is not None:
-                ctx.emit(r, ("smul", "r", i, j))
-                ctx.emit(p, ("smul", "pp", i, j))
-                ctx.emit(u, ("smul", "u", i, j))
-                ctx.emit(q, ("smul", "pp", j, i))
-                ctx.emit(t, ("smul", "t", i, j))
-                ctx.emit(z[i], ("smul", "zi", i, j))
-                ctx.emit(z[j], ("smul", "zj", i, j))
+                ctx.emit(r, (tag, "r", i, j))
+                ctx.emit(p, (tag, "pp", i, j))
+                ctx.emit(u, (tag, "u", i, j))
+                ctx.emit(q, (tag, "pp", j, i))
+                ctx.emit(t, (tag, "t", i, j))
+                ctx.emit(z[i], (tag, "zi", i, j))
+                ctx.emit(z[j], (tag, "zj", i, j))
     return z
+
+
+def sec_mult(ctx: MaskingContext, x: list[int], y: list[int]) -> list[int]:
+    """Field multiplication: ops (7n^2-5n)/2, bits (n^2-n)/2 w."""
+    return _isw(ctx, x, y, ctx.field.mul, "smul", None)
 
 
 def sec_and(ctx: MaskingContext, x: list[int], y: list[int],
             width: int | None = None) -> list[int]:
     """Bitwise AND under the same schedule and charges as sec_mult."""
-    n = ctx.n
-    c = ctx.counters
-    tr = ctx.trace
-    z = [0] * n
-    for i in range(n):
-        z[i] = x[i] & y[i]
-        if tr is not None:
-            ctx.emit(z[i], ("sand", "pp", i, i))
-    c.ops += n
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            r = ctx.rand(width)
-            p = x[i] & y[j]
-            u = r ^ p
-            q = x[j] & y[i]
-            t = u ^ q
-            z[i] ^= r
-            z[j] ^= t
-            c.ops += 6
-            if tr is not None:
-                ctx.emit(r, ("sand", "r", i, j))
-                ctx.emit(p, ("sand", "pp", i, j))
-                ctx.emit(u, ("sand", "u", i, j))
-                ctx.emit(q, ("sand", "pp", j, i))
-                ctx.emit(t, ("sand", "t", i, j))
-                ctx.emit(z[i], ("sand", "zi", i, j))
-                ctx.emit(z[j], ("sand", "zj", i, j))
-    return z
+    return _isw(ctx, x, y, and_, "sand", width)
 
 
 def sec_not(ctx: MaskingContext, x: list[int]) -> list[int]:
@@ -319,6 +304,20 @@ def _ceil_log2(v: int) -> int:
     return (v - 1).bit_length()
 
 
+# The closed forms of sec_nonzero count L = ceil(log2(w+1)) fold levels;
+# both executions charge them, and mge.costmodel tabulates them.
+
+
+def nonzero_ops(n: int, w: int) -> int:
+    big_l = _ceil_log2(w + 1)
+    return (5 * n * n + 2 * n - 1) + big_l * (5 * n * n - n + 2)
+
+
+def nonzero_bits(n: int, w: int) -> int:
+    big_l = _ceil_log2(w + 1)
+    return (big_l * big_l - big_l) // 2 * (n * n - n)
+
+
 def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Shared bit (x != 0) by OR-folding halves of the padded width.
 
@@ -333,10 +332,8 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
     c = ctx.counters
     padded = 1 << (w - 1).bit_length() if w > 1 else 1
     levels = (padded - 1).bit_length()
-    # the closed form counts L = ceil(log2(w+1)) levels
-    big_l = _ceil_log2(w + 1)
-    printed_ops = (5 * n * n + 2 * n - 1) + big_l * (5 * n * n - n + 2)
-    printed_bits = (big_l * big_l - big_l) // 2 * (n * n - n)
+    printed_ops = nonzero_ops(n, w)
+    printed_bits = nonzero_bits(n, w)
     if ctx.trace is None:
         t = _nonzero_packed(ctx, list(x), padded)
         c.ops += printed_ops

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import costmodel as cm
 from .gf import FieldSpec, field_new
 from .linalg import gaussian_elimination, masked_solve, random_system
 from .masking import (
@@ -45,13 +46,8 @@ from .masking import (
     MaskingContext,
     ReplayTape,
     SeededTape,
-    b2m,
-    b2minv,
-    refresh,
-    sec_and,
     sec_mult,
     sec_nonzero,
-    strong_refresh,
 )
 from .rowops import sec_cond_add, sec_mult_sub, sec_scalar_mult
 
@@ -107,14 +103,13 @@ class LeakVerdict:
 
 
 @dataclass(frozen=True)
-class GadgetSpec:
+class ProbeSpec:
     """One checkable gadget: input kinds, runner, default secrets.
 
-    kinds entries: "bool" (field-element sharing), "bit" (one-bit
-    sharing), "mult" (multiplicative sharing, nonzero secret), "row1"
-    (one-coefficient shared row). secrets holds >= 8 assignments, one
-    value per input, covering zero and edge cases where the input
-    domain allows them.
+    kinds entries are those of mge.costmodel.GadgetSpec, with a row
+    input checked as a one-coefficient row: its runner takes a "bool"
+    sharing in its place. run takes the context and one flat sharing
+    per input. secrets holds >= 8 assignments, one value per input.
     """
 
     name: str
@@ -138,6 +133,13 @@ def _run_scalar_mult(ctx, p, x):
 
 def _run_mult_sub(ctx, c, x, y):
     sec_mult_sub(ctx, c, _wrap_row(x), _wrap_row(y))
+
+
+_ONE_COEFFICIENT = {
+    "sec_cond_add": _run_cond_add,
+    "sec_scalar_mult": _run_scalar_mult,
+    "sec_mult_sub": _run_mult_sub,
+}
 
 
 def _run_self_mult(ctx, x):
@@ -178,79 +180,69 @@ def _run_nonzero_unmasked(ctx, x):
     return sec_nonzero(ctx, t)
 
 
-_B = (0, 1, 2, 5, 7, 8, 0xA, 0xF)
-_NZ = (1, 2, 3, 5, 8, 0xA, 0xD, 0xF)
+def _registry() -> dict:
+    reg = {}
+    for g in cm.GADGET_SPECS:
+        if g.secrets:
+            reg[g.name] = ProbeSpec(
+                g.name, tuple("bool" if k == "row" else k for k in g.kinds),
+                _ONE_COEFFICIENT[g.name] if "row" in g.kinds else g.fn,
+                g.secrets)
+    # a broken variant takes the inputs and secrets of a one-input gadget
+    for name, run, like in (
+            ("refresh_broken", _run_refresh_reused, "refresh"),
+            ("sec_mult_broken", _run_self_mult, "refresh"),
+            ("sec_nonzero_broken", _run_nonzero_unmasked, "sec_nonzero")):
+        g = reg[like]
+        reg[name] = ProbeSpec(name, g.kinds, run, g.secrets, broken=True)
+    return reg
 
-REGISTRY: dict[str, GadgetSpec] = {}
 
-
-def _register(name, kinds, run, secrets, broken=False):
-    REGISTRY[name] = GadgetSpec(name, tuple(kinds), run, tuple(secrets),
-                                broken)
-
-
-_register("refresh", ("bool",), refresh, [(s,) for s in _B])
-_register("strong_refresh", ("bool",), strong_refresh, [(s,) for s in _B])
-_register("sec_mult", ("bool", "bool"), sec_mult,
-          [(0, 0), (0, 5), (1, 1), (1, 0xF), (3, 7), (5, 0xA), (0xF, 0xF),
-           (9, 2), (0xB, 0x6)])
-_register("sec_and", ("bool", "bool"), sec_and,
-          [(0, 0), (0, 5), (1, 1), (1, 0xF), (3, 7), (5, 0xA), (0xF, 0xF),
-           (9, 2), (0xB, 0x6)])
-_register("sec_nonzero", ("bool",), sec_nonzero,
-          [(s,) for s in (0, 1, 2, 4, 5, 7, 8, 0xA, 0xF)])
-_register("b2m", ("bool",), b2m, [(s,) for s in _NZ])
-_register("b2minv", ("bool",), b2minv, [(s,) for s in _NZ])
-_register("sec_cond_add", ("bit", "bool", "bool"), _run_cond_add,
-          [(0, 0, 0), (1, 0, 0), (0, 5, 9), (1, 5, 9), (1, 0xF, 0xF),
-           (0, 1, 0xF), (1, 0, 7), (1, 1, 1), (0, 0xA, 3)])
-_register("sec_scalar_mult", ("mult", "bool"), _run_scalar_mult,
-          [(1, 0), (1, 5), (2, 0), (2, 9), (0xF, 0xF), (3, 1), (7, 0xA),
-           (5, 5)])
-_register("sec_mult_sub", ("bool", "bool", "bool"), _run_mult_sub,
-          [(0, 0, 0), (1, 1, 1), (0, 5, 9), (2, 7, 3), (0xF, 0xF, 0xF),
-           (5, 0, 0xA), (8, 2, 0), (1, 0xF, 0), (6, 6, 6)])
-_register("refresh_broken", ("bool",), _run_refresh_reused,
-          [(s,) for s in _B], broken=True)
-_register("sec_mult_broken", ("bool",), _run_self_mult,
-          [(s,) for s in _B], broken=True)
-_register("sec_nonzero_broken", ("bool",), _run_nonzero_unmasked,
-          [(s,) for s in (0, 1, 2, 4, 5, 7, 8, 0xA, 0xF)], broken=True)
+REGISTRY: dict[str, ProbeSpec] = _registry()
 
 
 def gadget_names(include_broken: bool = True) -> list[str]:
     return [k for k, v in REGISTRY.items() if include_broken or not v.broken]
 
 
-def lookup(name: str) -> GadgetSpec:
-    key = name.replace("-", "_")
-    try:
-        return REGISTRY[key]
-    except KeyError:
-        raise UnknownGadget(name) from None
+def lookup(name: str) -> ProbeSpec:
+    """Registry entry by name, ignoring case, hyphens and underscores."""
+    flat = name.lower().replace("-", "").replace("_", "")
+    for key, spec in REGISTRY.items():
+        if key.replace("_", "") == flat:
+            return spec
+    raise UnknownGadget(name)
 
 
 # -------------------------------------------------------- input enumeration
 
 
-def _fit_secrets(spec: GadgetSpec, field: FieldSpec) -> tuple:
+def _share_space(kind: str, field: FieldSpec) -> range:
+    """Values one share of an input of this kind ranges over."""
+    if kind == "bit":
+        return range(2)
+    if kind == "mult":
+        return range(1, field.q)
+    return range(field.q)  # "bool" and "nonzero": Boolean sharings
+
+
+def _secret_space(kind: str, field: FieldSpec) -> range:
+    if kind == "nonzero":
+        return range(1, field.q)
+    return _share_space(kind, field)
+
+
+def _fit_secrets(spec: ProbeSpec, field: FieldSpec) -> tuple:
     """Default secret assignments restricted to the field's domain.
 
     The registry defaults target GF(16); on smaller fields the
     out-of-range assignments are dropped rather than wrapped, keeping
     every component a legal input of its kind.
     """
-
-    def fits(kind, v):
-        if kind == "bit":
-            return v in (0, 1)
-        if kind == "mult":
-            return 1 <= v < field.q
-        return 0 <= v < field.q
-
     kept = tuple(
         sec for sec in spec.secrets
-        if all(fits(kind, sec[i]) for i, kind in enumerate(spec.kinds))
+        if all(sec[i] in _secret_space(kind, field)
+               for i, kind in enumerate(spec.kinds))
     )
     if len(kept) < 2:
         raise ValueError(
@@ -258,55 +250,34 @@ def _fit_secrets(spec: GadgetSpec, field: FieldSpec) -> tuple:
     return kept
 
 
+def _complete(kind: str, field: FieldSpec, value: int, head) -> list:
+    # the sharing of value whose first n-1 shares are head
+    acc = value
+    for h in head:
+        acc = field.mul(acc, field.inv(h)) if kind == "mult" else acc ^ h
+    return list(head) + [acc]
+
+
 def _sharings(kind: str, field: FieldSpec, n: int, value: int):
     """All sharings of one secret value for the given input kind."""
-    if kind == "bit":
-        space = range(2)
-    elif kind == "mult":
-        space = range(1, field.q)
-    else:
-        space = range(field.q)
-    out = []
-    for head in itertools.product(space, repeat=n - 1):
-        if kind == "mult":
-            acc = value
-            for h in head:
-                acc = field.mul(acc, field.inv(h))
-            if acc == 0:
-                continue
-            out.append(list(head) + [acc])
-        else:
-            acc = value
-            for h in head:
-                acc ^= h
-            out.append(list(head) + [acc])
+    out = [_complete(kind, field, value, head) for head in
+           itertools.product(_share_space(kind, field), repeat=n - 1)]
+    if kind == "mult":
+        return [s for s in out if s[-1] != 0]
     return out
 
 
 def _random_sharing(kind: str, field: FieldSpec, n: int, value: int, rng):
-    if kind == "mult":
-        shares = [rng.randrange(1, field.q) for _ in range(n - 1)]
-        acc = value
-        for h in shares:
-            acc = field.mul(acc, field.inv(h))
-        return shares + [acc]
-    space = 2 if kind == "bit" else field.q
-    shares = [rng.randrange(space) for _ in range(n - 1)]
-    acc = value
-    for h in shares:
-        acc ^= h
-    return shares + [acc]
+    space = _share_space(kind, field)
+    return _complete(kind, field, value, [rng.choice(space)
+                                          for _ in range(n - 1)])
 
 
 def _random_secret(kind: str, field: FieldSpec, rng) -> int:
-    if kind == "bit":
-        return rng.randrange(2)
-    if kind == "mult":
-        return rng.randrange(1, field.q)
-    return rng.randrange(field.q)
+    return rng.choice(_secret_space(kind, field))
 
 
-def _tape_schedule(spec: GadgetSpec, field: FieldSpec, n: int):
+def _tape_schedule(spec: ProbeSpec, field: FieldSpec, n: int):
     """Draw schedule plus point labels from one instrumented run."""
     tape = DomainTape()
     ctx = MaskingContext(field, n, tape=tape)

@@ -68,6 +68,35 @@ def _mul_table(field, c: int) -> bytes:
     return t
 
 
+# Closed forms of the row gadgets for n shares, row length l and w-bit
+# coefficients: the packed paths charge them, and the scalar paths'
+# executed counts equal them; mge.costmodel tabulates them.
+
+
+def cond_add_ops(n: int, l: int) -> int:
+    return (5 * n * n - 3 * n) * l
+
+
+def cond_add_bits(n: int, l: int, w: int) -> int:
+    return (n * n - n) * l * w
+
+
+def scalar_mult_ops(n: int, l: int) -> int:
+    return (5 * n * n - 3 * n) * l
+
+
+def scalar_mult_bits(n: int, l: int, w: int) -> int:
+    return (n * n - n) * l * w
+
+
+def mult_sub_ops(n: int, l: int) -> int:
+    return (7 * n * n - 3 * n) // 2 * l
+
+
+def mult_sub_bits(n: int, l: int, w: int) -> int:
+    return (n * n - n) // 2 * l * w
+
+
 def row_share(ctx: MaskingContext, values: list[int]) -> SharedRow:
     """Share a public row coefficient-wise (share-major result)."""
     if len(values) == 0:
@@ -157,9 +186,9 @@ def _cond_add_packed(ctx, ext, x, y, l):
             s[j] ^= r
             p += 1
     c = ctx.counters
-    c.ops += (5 * n * n - 3 * n) * l
+    c.ops += cond_add_ops(n, l)
     c.rng_draws += span * l
-    c.rng_bits += span * l * w
+    c.rng_bits += cond_add_bits(n, l, w)
     return _unpacked(s, l)
 
 
@@ -211,9 +240,9 @@ def _scalar_mult_packed(ctx, p, x, l):
             v[i] ^= r
         rows = [vi.to_bytes(l, "little") for vi in v]
     c = ctx.counters
-    c.ops += (5 * n * n - 3 * n) * l
+    c.ops += scalar_mult_ops(n, l)
     c.rng_draws += n * stride
-    c.rng_bits += n * stride * w
+    c.rng_bits += scalar_mult_bits(n, l, w)
     return [list(b) for b in rows]
 
 
@@ -260,7 +289,7 @@ def _mult_sub_packed(ctx, factor, row, base, l):
             z[j] ^= r ^ prod[i][j] ^ prod[j][i]
             p += 1
     c = ctx.counters
-    c.ops += (7 * n * n - 3 * n) // 2 * l
+    c.ops += mult_sub_ops(n, l)
     c.rng_draws += pairs * l
-    c.rng_bits += pairs * l * w
+    c.rng_bits += mult_sub_bits(n, l, w)
     return _unpacked(z, l)

@@ -132,6 +132,8 @@ class SeededTape:
         # rejection keeps the distribution uniform on [1, 2^width); reading
         # through the _draw alias, not the draw attribute, keeps it one
         # call per request for a wrapper installed on draw
+        if width < 1:
+            raise ValueError(f"nonzero draws are >= 1 bit wide, got {width}")
         while True:
             v = self._draw(width)
             if v:

@@ -221,7 +221,7 @@ def test_traced_and_untraced_solves_agree(field, m):
 def test_solver_import_leaves_numpy_out():
     # numpy costs the solver's start-up time and memory; only the
     # statistical probing lab needs it
-    code = ("import sys, mge.linalg\n"
+    code = ("import sys, mge.linalg, mge.costmodel\n"
             "print('numpy' in sys.modules)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

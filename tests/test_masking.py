@@ -69,6 +69,20 @@ class TestTapes:
         for _ in range(5000):
             assert tape.draw_nonzero(1) == 1
 
+    def test_zero_width_nonzero_draw_rejected_before_the_tape_moves(self):
+        # every 0-bit draw is 0, so the rejection loop could never end
+        tape = SeededTape(5)
+        tape.draw(8)
+        state = tape._state
+        with pytest.raises(ValueError, match="wide"):
+            tape.draw_nonzero(0)
+        assert tape._state == state
+        ctx = MaskingContext(F16, 2, seed=5)
+        with pytest.raises(ValueError, match="wide"):
+            ctx.rand_nonzero(0)
+        assert ctx.rng._state == SeededTape(5)._state
+        assert ctx.counters.snapshot() == (0, 0, 0)
+
     def test_draw_nonzero_reads_the_tape_without_calling_draw(self, monkeypatch):
         # a wrapper installed on draw, such as a call-counting tracer, must
         # see one call per request, so draw_nonzero may not go through it
@@ -468,6 +482,27 @@ class TestTraceShapes:
         ctx = self._traced(3)
         refresh(ctx, bool_share(ctx, 5))
         assert sum(1 for l in ctx.trace_labels if l[0] == "refresh") == 7
+
+    @pytest.mark.parametrize("gadget,tag", [(sec_mult, "smul"),
+                                            (sec_and, "sand")])
+    def test_isw_products_label_every_wire_under_their_tag(self, gadget, tag):
+        ctx = MaskingContext(F16, 3, seed=1)
+        x, y = bool_share(ctx, 5), bool_share(ctx, 9)
+        ctx.trace, ctx.trace_labels = [], []
+        gadget(ctx, x, y)
+        want = [(tag, "pp", i, i) for i in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            want += [(tag, "r", i, j), (tag, "pp", i, j), (tag, "u", i, j),
+                     (tag, "pp", j, i), (tag, "t", i, j), (tag, "zi", i, j),
+                     (tag, "zj", i, j)]
+        assert ctx.trace_labels == want
+
+    def test_isw_products_draw_at_their_width(self):
+        tape = DomainTape()
+        ctx = MaskingContext(F16, 3, tape=tape)
+        sec_and(ctx, [1, 2, 3], [3, 2, 1], width=2)
+        sec_mult(ctx, [1, 2, 3], [3, 2, 1])
+        assert tape.schedule == [(2, False)] * 3 + [(4, False)] * 3
 
     def test_trace_disabled_by_default(self):
         ctx = MaskingContext(F16, 2, seed=1)

@@ -2,6 +2,7 @@
 seeded broken gadgets, and the statistical mode."""
 
 import json
+import random
 
 import pytest
 
@@ -26,6 +27,22 @@ class TestRegistry:
     def test_lookup_normalizes_hyphens(self):
         assert pl.lookup("sec-cond-add").name == "sec_cond_add"
         assert pl.lookup("refresh-broken").name == "refresh_broken"
+
+    def test_lookup_ignores_case_hyphens_and_underscores(self):
+        assert pl.lookup("SecCondAdd").name == "sec_cond_add"
+        assert pl.lookup("B2MINV").name == "b2minv"
+
+    def test_secure_entries_follow_the_gadget_table(self):
+        from mge import costmodel as cm
+
+        table = [g for g in cm.GADGET_SPECS if g.secrets]
+        assert [g.name for g in table] == pl.gadget_names(
+            include_broken=False)
+        for g in table:
+            spec = pl.lookup(g.name)
+            assert spec.secrets == g.secrets
+            assert spec.kinds == tuple(
+                "bool" if k == "row" else k for k in g.kinds)
 
     def test_unknown_name_raises(self):
         with pytest.raises(pl.UnknownGadget):
@@ -134,6 +151,23 @@ class TestStatistical:
         summary = pl.leak_summary(verdicts)
         assert summary["failed"] == summary["points"]
         assert summary["worst_statistic"] > 4.5
+
+    @pytest.mark.parametrize("name", ["b2m", "b2minv"])
+    def test_nonzero_input_gadgets_get_one_verdict_per_point(self, name):
+        verdicts = pl.statistical_fixed_vs_random(
+            name, F16, 2, samples_per_class=100, seed=5)
+        tr = pl.record_trace(name, F16, 2)
+        assert [v.point_id for v in verdicts] == [
+            i for i, lab in zip(tr.ids, tr.labels) if not pl.is_public(lab)]
+        assert all(v.samples == 200 for v in verdicts)
+
+    def test_nonzero_random_secrets_and_sharings_are_never_zero(self):
+        rng = random.Random(3)
+        for _ in range(400):
+            v = pl._random_secret("nonzero", F4, rng)
+            assert 1 <= v < F4.q
+            shares = pl._random_sharing("nonzero", F4, 2, v, rng)
+            assert shares[0] ^ shares[1] == v
 
     def test_same_seed_reproduces_statistics(self):
         def run():
