@@ -40,7 +40,6 @@ from .linalg import (
     singular_system,
 )
 from . import costmodel as cm
-from . import probelab as pl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,13 +74,15 @@ def _parse_system(path: str) -> LinearSystem:
 def cmd_solve(cfg: argparse.Namespace) -> int:
     if cfg.in_path:
         systems = [_parse_system(cfg.in_path)]
-    elif cfg.random and cfg.count:
+    elif cfg.random:
+        if cfg.count < 1:
+            print(f"--count must be at least 1, got {cfg.count}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         fieldspec = _field_for_q(cfg.q)
         rng = random.Random(cfg.seed)
-        systems = [
-            random_system(fieldspec, cfg.m, rng, invertible=False)
-            for _ in range(cfg.count)
-        ]
+        systems = [random_system(fieldspec, cfg.m, rng, invertible=False)
+                   for _ in range(cfg.count)]
     else:
         print("solve needs --in FILE or --random", file=sys.stderr)
         return EXIT_USAGE
@@ -94,8 +95,7 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
             ref = gaussian_elimination(sysm)
             ctx = MaskingContext(sysm.field, cfg.n, tape=tapes.spawn())
             got = masked_solve(ctx, sysm)
-            if (got.x, got.singular, got.fail_index) == (
-                    ref.x, ref.singular, ref.fail_index):
+            if got == ref:
                 matches += 1
         print(f"MATCH {matches}/{len(systems)}")
         return EXIT_OK if matches == len(systems) else EXIT_USAGE
@@ -155,6 +155,7 @@ def cmd_cost_table(cfg: argparse.Namespace) -> int:
 
 
 def cmd_leakcheck(cfg: argparse.Namespace) -> int:
+    from . import probelab as pl  # numpy loads only for the commands that probe
     fieldspec = field_new(cfg.w)
     statistical = cfg.pipeline or cfg.mode == "statistical"
     if statistical and cfg.samples < 4:
@@ -265,28 +266,21 @@ def _suite_gf(cfg):
         for a in range(1, f.q):
             if f.mul(a, f.inv(a)) != 1:
                 return False, f"inverse identity broken at {a} (w={f.w})"
-    pairs = 0
+    rng = random.Random(cfg.seed)
     if cfg.exhaustive:
-        for a in range(16):
-            for b in range(16):
-                if f16.mul(a, b) != _mul_ref(a, b, f16.poly, 4):
-                    return False, f"GF(16) mul mismatch at ({a},{b})"
-                pairs += 1
-        rng = random.Random(cfg.seed)
-        for _ in range(20000):
-            a, b = rng.randrange(256), rng.randrange(256)
-            if f256.mul(a, b) != _mul_ref(a, b, f256.poly, 8):
-                return False, f"GF(256) mul mismatch at ({a},{b})"
-            pairs += 1
+        # all of GF(16), then 20000 random GF(256) pairs
+        cases = [(f16, a, b) for a in range(16) for b in range(16)]
+        cases += [(f256, rng.randrange(256), rng.randrange(256))
+                  for _ in range(20000)]
     else:
-        rng = random.Random(cfg.seed)
+        cases = []
         for _ in range(2000):
             f = f16 if rng.random() < 0.5 else f256
-            a, b = rng.randrange(f.q), rng.randrange(f.q)
-            if f.mul(a, b) != _mul_ref(a, b, f.poly, f.w):
-                return False, f"mul mismatch at ({a},{b}) w={f.w}"
-            pairs += 1
-    return True, f"{pairs} products cross-checked"
+            cases.append((f, rng.randrange(f.q), rng.randrange(f.q)))
+    for f, a, b in cases:
+        if f.mul(a, b) != _mul_ref(a, b, f.poly, f.w):
+            return False, f"mul mismatch at ({a},{b}) w={f.w}"
+    return True, f"{len(cases)} products cross-checked"
 
 
 def _suite_sharing(cfg):
@@ -386,8 +380,7 @@ def _suite_oracle(cfg):
         ref = gaussian_elimination(sysm)
         ctx = MaskingContext(f, 2 + trial % 3, seed=rng.randrange(2 ** 63))
         got = masked_solve(ctx, sysm)
-        if (got.x, got.singular, got.fail_index) != (
-                ref.x, ref.singular, ref.fail_index):
+        if got != ref:
             return False, f"disagreement on trial {trial}"
         agree += 1
     for trial in range(20):
@@ -396,8 +389,7 @@ def _suite_oracle(cfg):
         ref = gaussian_elimination(sysm)
         ctx = MaskingContext(f, 2 + trial % 3, seed=rng.randrange(2 ** 63))
         got = masked_solve(ctx, sysm)
-        if not (ref.singular and got.singular
-                and got.fail_index == ref.fail_index):
+        if not (ref.singular and got == ref):
             return False, f"singular disagreement on trial {trial}"
         agree += 1
     return True, f"{agree} systems agree (values, singularity, abort index)"
@@ -423,6 +415,7 @@ def _suite_packed_path(cfg):
 
 
 def _suite_probe_shape(cfg):
+    from . import probelab as pl
     tr = pl.record_trace("refresh", field_new(4), 2, seed=cfg.seed)
     if len(tr.ids) != 4:
         return False, f"refresh n=2 trace has {len(tr.ids)} points, want 4"
@@ -438,6 +431,7 @@ def _suite_probe_shape(cfg):
 
 
 def _suite_leak_broken(cfg):
+    from . import probelab as pl
     f16 = field_new(4)
     ok = pl.leak_summary(pl.exhaustive_first_order("refresh", f16, 2))
     if not ok["pass"]:

@@ -422,16 +422,13 @@ def verify_rows(rows: list[CostRow], tol_ops: int = 2,
         want = PRINTED_TABLE.get(r.label)
         if want is None or r.n not in (2, 3, 4):
             continue
-        ops_want = want[0][r.n - 2]
-        rand_want = want[1][r.n - 2]
-        if abs(r.ops_scaled - ops_want) > tol_ops:
-            bad.append({"label": r.label, "q": r.q, "m": r.m, "n": r.n,
-                        "column": "ops", "got": r.ops_scaled,
-                        "want": ops_want})
-        if abs(r.rand_scaled - rand_want) > tol_rand:
-            bad.append({"label": r.label, "q": r.q, "m": r.m, "n": r.n,
-                        "column": "rand", "got": r.rand_scaled,
-                        "want": rand_want})
+        for column, got, cells, tol in (
+                ("ops", r.ops_scaled, want[0], tol_ops),
+                ("rand", r.rand_scaled, want[1], tol_rand)):
+            if abs(got - cells[r.n - 2]) > tol:
+                bad.append({"label": r.label, "q": r.q, "m": r.m, "n": r.n,
+                            "column": column, "got": got,
+                            "want": cells[r.n - 2]})
     return bad
 
 
@@ -448,7 +445,6 @@ class CounterCheck:
     ops_form: int
     bits_run: int
     bits_form: int
-    draws_run: int
 
     @property
     def ops_rel(self) -> float:
@@ -504,5 +500,4 @@ def counter_vs_formula(gadget: str, n: int, w: int = 8,
         ops_form=spec.t(n, size, w),
         bits_run=after[2] - before[2],
         bits_form=spec.r(n, size, w),
-        draws_run=after[1] - before[1],
     )

@@ -49,8 +49,6 @@ def poly_is_irreducible(poly: int, w: int) -> bool:
     """Trial division by every polynomial of degree 1..w//2."""
     if poly.bit_length() != w + 1:
         return False
-    if w == 1:
-        return True
     for deg in range(1, w // 2 + 1):
         for low in range(1 << deg):
             if _gf2_poly_mod(poly, (1 << deg) | low) == 0:
@@ -91,34 +89,26 @@ class FieldSpec:
         q = 1 << w
         object.__setattr__(self, "q", q)
 
-        # The multiplicative group is cyclic of order q-1; find a generator
-        # and lay out exp twice over so mul needs no modular reduction.
-        gen = 1
-        for cand in range(2, q):
-            x, order = cand, 1
-            while True:
-                x = _mul_ref(x, cand, poly, w)
-                if x == cand:
-                    break
-                order += 1
-            if order == q - 1:
-                gen = cand
+        # The multiplicative group is cyclic of order q-1: exp holds the
+        # powers of the first generator, laid out twice over so mul needs
+        # no modular reduction.
+        exp = [1]
+        for gen in range(2, q):
+            exp, x = [1], gen
+            while x != 1:
+                exp.append(x)
+                x = _mul_ref(x, gen, poly, w)
+            if len(exp) == q - 1:
                 break
-        exp = [0] * (2 * (q - 1))
         log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            exp[i + q - 1] = x
+        for i, x in enumerate(exp):
             log[x] = i
-            x = _mul_ref(x, gen, poly, w)
+        exp += exp
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
 
-        # inversion is x^(q-2); freeze the results into a table
-        inv = [0] * q
-        for v in range(1, q):
-            inv[v] = self.pow(v, q - 2)
+        # the inverse of g^i is g^(q-1-i); freeze the results into a table
+        inv = [0] + [exp[q - 1 - log[v]] for v in range(1, q)]
         object.__setattr__(self, "_inv", inv)
 
     def __setattr__(self, name, value):

@@ -8,11 +8,19 @@ eliminate the pivot column below, then back-substitute bottom-up. The
 masked path keeps every matrix entry Boolean-shared; the only values it
 ever opens are the per-column pivot-liveness bit and, during back
 substitution, the solution coefficients themselves.
+
+Masked rows are live tails, in one loop for both row forms of
+mge.rowops: PackedRows untraced, from share_system to sec_back_sub, and
+list rows under a probe trace. While column j is eliminated, coefficient
+0 of each row from j down is column j (pivot v & 0xFF, or s[0]); then
+the rows below drop it (v >> 8, or s[1:]), so row j ends as columns j..m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from .gf import FieldSpec
 from .masking import (
@@ -26,10 +34,14 @@ from .masking import (
 from .rowops import (
     LengthMismatch,
     LengthZero,
+    row_drop,
+    row_head,
     row_share,
+    row_share_packed,
     sec_cond_add,
     sec_mult_sub,
     sec_scalar_mult,
+    unpack_row,
 )
 
 
@@ -46,22 +58,16 @@ class LinearSystem:
         m = len(a)
         if m == 0:
             raise LengthZero("empty system")
-        rows = []
-        for row in a:
+        for i, row in enumerate((*a, b)):
             if len(row) != m:
-                raise LengthMismatch(f"matrix row of length {len(row)}, want {m}")
+                what = "rhs" if i == m else "matrix row"
+                raise LengthMismatch(f"{what} of length {len(row)}, want {m}")
             for v in row:
                 if not 0 <= v < field.q:
                     raise ValueError(f"entry {v!r} outside [0, {field.q})")
-            rows.append(tuple(row))
-        if len(b) != m:
-            raise LengthMismatch(f"rhs of length {len(b)}, want {m}")
-        for v in b:
-            if not 0 <= v < field.q:
-                raise ValueError(f"entry {v!r} outside [0, {field.q})")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", tuple(rows))
+        object.__setattr__(self, "a", tuple(tuple(row) for row in a))
         object.__setattr__(self, "b", tuple(b))
 
 
@@ -121,25 +127,12 @@ def gaussian_elimination(system: LinearSystem, pivot_tries: int | None = None,
 # ------------------------------------------------------------ masked path
 
 
-def _pivot(row, j):
-    return [s[j] for s in row]
-
-
-def _tail(row, j):
-    return [s[j:] for s in row]
-
-
-def _write_tail(row, j, new):
-    for i, s in enumerate(row):
-        s[j:] = new[i]
-
-
 def share_system(ctx: MaskingContext, system: LinearSystem) -> list:
     """Share the augmented matrix row-wise (not part of gadget costs)."""
-    return [
-        row_share(ctx, list(system.a[j]) + [system.b[j]])
-        for j in range(system.m)
-    ]
+    # untraced, the rows are packed here and stay packed to the end
+    share = row_share_packed if ctx.trace is None else row_share
+    return [share(ctx, list(system.a[j]) + [system.b[j]])
+            for j in range(system.m)]
 
 
 def sec_row_ech(ctx: MaskingContext, rows: list,
@@ -154,20 +147,18 @@ def sec_row_ech(ctx: MaskingContext, rows: list,
     for j in range(m):
         last = m if pivot_tries is None else min(m, j + 1 + pivot_tries)
         for k in range(j + 1, last):
-            nz = sec_nonzero(ctx, _pivot(rows[j], j))
+            nz = sec_nonzero(ctx, row_head(rows[j]))
             b = sec_not(ctx, nz)
-            merged = sec_cond_add(ctx, b, _tail(rows[j], j), _tail(rows[k], j))
-            _write_tail(rows[j], j, merged)
-        live = full_add(ctx, sec_nonzero(ctx, _pivot(rows[j], j)))
+            rows[j] = sec_cond_add(ctx, b, rows[j], rows[k])
+        live = full_add(ctx, sec_nonzero(ctx, row_head(rows[j])))
         c.ops += 1  # public liveness test
         if live == 0:
             return j
-        pinv = b2minv(ctx, _pivot(rows[j], j))
-        _write_tail(rows[j], j, sec_scalar_mult(ctx, pinv, _tail(rows[j], j)))
+        pinv = b2minv(ctx, row_head(rows[j]))
+        rows[j] = sec_scalar_mult(ctx, pinv, rows[j])
         for k in range(j + 1, m):
-            s = strong_refresh(ctx, _pivot(rows[k], j))
-            updated = sec_mult_sub(ctx, s, _tail(rows[j], j), _tail(rows[k], j))
-            _write_tail(rows[k], j, updated)
+            s = strong_refresh(ctx, row_head(rows[k]))
+            rows[k] = row_drop(sec_mult_sub(ctx, s, rows[j], rows[k]))
     return None
 
 
@@ -175,22 +166,24 @@ def sec_back_sub(ctx: MaskingContext, rows: list) -> list[int]:
     """Open solution entries bottom-up, folding each into rows above.
 
     Pivots are unit after sec_row_ech, so the opened augmented entry of
-    row j is x_j; rows above absorb x_j times their column-j entry.
+    row j is x_j; rows above absorb x_j times their column-j entry,
+    index j - m - 1 of a share whichever column the row starts at.
     """
     m = len(rows)
     n = ctx.n
     mul = ctx.field.mul
     c = ctx.counters
     tr = ctx.trace
+    rows = [unpack_row(r) for r in rows]
     x = [0] * m
     for j in range(m - 1, -1, -1):
-        x[j] = full_add(ctx, [s[m] for s in rows[j]])
-        for k in range(j):
-            row = rows[k]
-            for i in range(n):
-                row[i][m] ^= mul(x[j], row[i][j])
+        x[j] = full_add(ctx, [s[-1] for s in rows[j]])
+        col = j - m - 1
+        for k, row in enumerate(rows[:j]):
+            for i, s in enumerate(row):
+                s[-1] ^= mul(x[j], s[col])
                 if tr is not None:
-                    ctx.emit(row[i][m], ("sbs", "upd", j, k, i))
+                    ctx.emit(s[-1], ("sbs", "upd", j, k, i))
             c.ops += 2 * n
     return x
 
@@ -215,9 +208,7 @@ def random_system(field: FieldSpec, m: int, rng,
         a = [[rng.randrange(field.q) for _ in range(m)] for _ in range(m)]
         b = [rng.randrange(field.q) for _ in range(m)]
         sys_ = LinearSystem(field, a, b)
-        if not invertible:
-            return sys_
-        if gaussian_elimination(sys_).x is not None:
+        if not invertible or gaussian_elimination(sys_).x is not None:
             return sys_
 
 
@@ -228,17 +219,9 @@ def singular_system(field: FieldSpec, m: int, rng) -> LinearSystem:
     mul = field.mul
     bmat = [[rng.randrange(field.q) for _ in range(m - 1)] for _ in range(m)]
     cmat = [[rng.randrange(field.q) for _ in range(m)] for _ in range(m - 1)]
-    a = [
-        [0] * m
-        for _ in range(m)
-    ]
-    for r in range(m):
-        for t in range(m - 1):
-            brt = bmat[r][t]
-            if brt == 0:
-                continue
-            crow = cmat[t]
-            arow = a[r]
+    a = [[0] * m for _ in range(m)]
+    for arow, brow in zip(a, bmat):
+        for brt, crow in zip(brow, cmat):
             for s in range(m):
                 arow[s] ^= mul(brt, crow[s])
     b = [rng.randrange(field.q) for _ in range(m)]
@@ -248,10 +231,5 @@ def singular_system(field: FieldSpec, m: int, rng) -> LinearSystem:
 def residual(system: LinearSystem, x) -> list[int]:
     """A x - b; all zeros iff x solves the system."""
     mul = system.field.mul
-    out = []
-    for j in range(system.m):
-        acc = 0
-        for k in range(system.m):
-            acc ^= mul(system.a[j][k], x[k])
-        out.append(acc ^ system.b[j])
-    return out
+    return [reduce(xor, map(mul, row, x), bj)
+            for row, bj in zip(system.a, system.b)]

@@ -280,16 +280,14 @@ def _random_secret(kind: str, field: FieldSpec, rng) -> int:
 def _tape_schedule(spec: ProbeSpec, field: FieldSpec, n: int):
     """Draw schedule plus point labels from one instrumented run."""
     tape = DomainTape()
-    ctx = MaskingContext(field, n, tape=tape)
-    ctx.trace = []
-    ctx.trace_labels = []
     first = _fit_secrets(spec, field)[0]
     args = [
         _sharings(kind, field, n, first[i])[0]
         for i, kind in enumerate(spec.kinds)
     ]
-    spec.run(ctx, *args)
-    return tape.schedule, list(ctx.trace_labels)
+    _, labels = _masked_trace(MaskingContext(field, n, tape=tape), True,
+                              spec.run, *args)
+    return tape.schedule, labels
 
 
 def record_trace(name: str, field: FieldSpec | None = None, n: int = 2,
@@ -302,19 +300,16 @@ def record_trace(name: str, field: FieldSpec | None = None, n: int = 2,
     if secrets is None:
         secrets = _fit_secrets(spec, field)[0]
     rng = random.Random(seed)
-    ctx = MaskingContext(field, n, seed=seed)
-    ctx.trace = []
-    ctx.trace_labels = []
     args = [
         _random_sharing(kind, field, n, secrets[i], rng)
         for i, kind in enumerate(spec.kinds)
     ]
-    spec.run(ctx, *args)
-    labels = tuple(ctx.trace_labels)
+    values, labels = _masked_trace(MaskingContext(field, n, seed=seed), True,
+                                   spec.run, *args)
     return ProbeTrace(
         ids=tuple(label_id(l) for l in labels),
-        labels=labels,
-        values=tuple(ctx.trace),
+        labels=tuple(labels),
+        values=tuple(values),
     )
 
 
@@ -522,36 +517,31 @@ def statistical_fixed_vs_random(target: str, field: FieldSpec | None = None,
 
 
 def _gadget_trace(spec, field, n, secret, rng, campaign, want_labels=False):
-    ctx = MaskingContext(field, n, tape=campaign.spawn())
-    ctx.trace = []
-    if want_labels:
-        ctx.trace_labels = []
     args = [
         _random_sharing(kind, field, n, secret[i], rng)
         for i, kind in enumerate(spec.kinds)
     ]
-    spec.run(ctx, *args)
-    if want_labels:
-        return ctx.trace, list(ctx.trace_labels)
-    return ctx.trace
+    return _masked_trace(MaskingContext(field, n, tape=campaign.spawn()),
+                         want_labels, spec.run, *args)
 
 
 def _solve_trace(target, field, n, sysm, campaign, want_labels=False):
     if target == "solve":
-        ctx = MaskingContext(field, n, tape=campaign.spawn())
-        ctx.trace = []
-        if want_labels:
-            ctx.trace_labels = []
-        masked_solve(ctx, sysm)
-        if want_labels:
-            return ctx.trace, list(ctx.trace_labels)
-        return ctx.trace
+        return _masked_trace(MaskingContext(field, n, tape=campaign.spawn()),
+                             want_labels, masked_solve, sysm)
     trace = []
     labels = [] if want_labels else None
     gaussian_elimination(sysm, trace=trace, trace_labels=labels)
+    return (trace, labels) if want_labels else trace
+
+
+def _masked_trace(ctx, want_labels, run, *args):
+    """run(ctx, *args) under a probe trace: its values, and its labels."""
+    ctx.trace = []
     if want_labels:
-        return trace, labels
-    return trace
+        ctx.trace_labels = []
+    run(ctx, *args)
+    return (ctx.trace, list(ctx.trace_labels)) if want_labels else ctx.trace
 
 
 def leak_summary(verdicts: list[LeakVerdict]) -> dict:

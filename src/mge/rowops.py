@@ -1,21 +1,25 @@
 """Gadgets on shared rows.
 
-A SharedRow is share-major: a list of n equal-length coefficient lists
-whose elementwise XOR is the encoded row. The three gadgets here are
-the row-level building blocks of the elimination pipeline: conditional
-row addition, scaling by a multiplicatively shared factor, and
-multiply-accumulate by a Boolean-shared factor.
+A shared row has two forms. A list row (SharedRow) is share-major: n
+equal-length coefficient lists whose elementwise XOR is the row. A
+PackedRow is a list of n share ints with the row length in its l slot:
+coefficient k of share i is byte k of int i (w <= 8).
 
-Each row gadget has two executions of one algorithm. With a probe trace
-(ctx.trace is a list) it runs coefficient by coefficient through the
-scalar gadgets of mge.masking, emitting a point per wire; that is the
-reference. Without one it runs packed: every share row becomes one int
-holding a coefficient per byte (w <= 8), so each ISW pair and refresh
-step is one XOR or AND over the whole row, GF products go through a
-256-byte multiply table per factor, and the randoms come from one
-SeededTape.draw_block, sliced in the order the scalar path draws them.
-Both give the same output shares, the same counters at the gadget
-boundary and the same final tape state.
+The three row gadgets (conditional row addition, scaling by a
+multiplicatively shared factor, multiply-accumulate by a Boolean-shared
+factor) each have two executions of one algorithm. With a probe trace
+(ctx.trace is a list) a gadget runs coefficient by coefficient on list
+rows through the scalar gadgets of mge.masking, emitting a point per
+wire; that is the reference. Without one a kernel runs on share ints:
+each ISW pair and refresh step is one XOR or AND over the whole row,
+GF products go through a 256-byte multiply table per factor, and the
+randoms come from one SeededTape.draw_block, sliced in the order the
+scalar path draws them. A PackedRow comes back packed; a list row is
+packed, run through the same kernel and unpacked. Both executions give
+the same shares, counters at the gadget boundary and final tape state.
+
+Live tails (mge.linalg): a row holds the columns it has left; row_head
+reads the shares of its coefficient 0 and row_drop removes it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,18 @@ from __future__ import annotations
 from .masking import MaskingContext, refresh, sec_and, sec_mult, strong_refresh
 
 SharedRow = list
+
+
+class PackedRow(list):
+    """n share ints plus the row length l; untraced gadgets only."""
+
+    __slots__ = ("l",)
+
+
+def _packed_row(shares, l: int) -> PackedRow:
+    row = PackedRow(shares)
+    row.l = l
+    return row
 
 
 class LengthMismatch(ValueError):
@@ -36,21 +52,50 @@ class LengthZero(ValueError):
 def _check_row(row, n: int) -> int:
     if len(row) != n:
         raise LengthMismatch(f"expected {n} shares, got {len(row)}")
-    l = len(row[0])
+    if isinstance(row, PackedRow):
+        l = row.l
+    else:
+        l = len(row[0])
+        for s in row:
+            if len(s) != l:
+                raise LengthMismatch("share vectors differ in length")
     if l == 0:
         raise LengthZero("row of length 0")
-    for s in row:
-        if len(s) != l:
-            raise LengthMismatch("share vectors differ in length")
     return l
 
 
-def _packed(row) -> list[int]:
-    return [int.from_bytes(bytes(s), "little") for s in row]
+def pack_row(row: SharedRow) -> PackedRow:
+    """The packed form of a list row."""
+    return _packed_row([int.from_bytes(bytes(s), "little") for s in row],
+                       len(row[0]))
 
 
-def _unpacked(ints, l: int) -> SharedRow:
-    return [list(v.to_bytes(l, "little")) for v in ints]
+def unpack_row(row) -> SharedRow:
+    """The list form of a row; a list row is returned as it is."""
+    if isinstance(row, PackedRow):
+        return [list(v.to_bytes(row.l, "little")) for v in row]
+    return row
+
+
+def row_head(row) -> list[int]:
+    """The shares of coefficient 0."""
+    if isinstance(row, PackedRow):
+        return [v & 0xFF for v in row]
+    return [s[0] for s in row]
+
+
+def row_drop(row):
+    """The row without coefficient 0, in the same form."""
+    if isinstance(row, PackedRow):
+        return _packed_row([v >> 8 for v in row], row.l - 1)
+    return [s[1:] for s in row]
+
+
+def _run_packed(kernel, ctx, arg, rows, l):
+    # the list API wraps the int kernel; the result takes rows[0]'s form
+    ints = [r if isinstance(r, PackedRow) else pack_row(r) for r in rows]
+    out = _packed_row(kernel(ctx, arg, *ints, l), l)
+    return out if isinstance(rows[0], PackedRow) else unpack_row(out)
 
 
 # (w, poly, c) -> bytes.translate table of v -> c*v, built on first use
@@ -81,12 +126,8 @@ def cond_add_bits(n: int, l: int, w: int) -> int:
     return (n * n - n) * l * w
 
 
-def scalar_mult_ops(n: int, l: int) -> int:
-    return (5 * n * n - 3 * n) * l
-
-
-def scalar_mult_bits(n: int, l: int, w: int) -> int:
-    return (n * n - n) * l * w
+# scaling charges per coefficient what conditional addition does
+scalar_mult_ops, scalar_mult_bits = cond_add_ops, cond_add_bits
 
 
 def mult_sub_ops(n: int, l: int) -> int:
@@ -99,24 +140,43 @@ def mult_sub_bits(n: int, l: int, w: int) -> int:
 
 def row_share(ctx: MaskingContext, values: list[int]) -> SharedRow:
     """Share a public row coefficient-wise (share-major result)."""
+    if ctx.trace is None:
+        return unpack_row(row_share_packed(ctx, values))
     if len(values) == 0:
         raise LengthZero("row of length 0")
     n = ctx.n
     row = [[0] * len(values) for _ in range(n)]
-    tr = ctx.trace
     for k, v in enumerate(values):
         acc = v
         for i in range(n - 1):
             r = ctx.rand()
             row[i][k] = r
             acc ^= r
-            if tr is not None:
-                ctx.emit(r, ("rshare", "r", k, i))
+            ctx.emit(r, ("rshare", "r", k, i))
         row[n - 1][k] = acc
-        if tr is not None:
-            ctx.emit(acc, ("rshare", "last", k))
+        ctx.emit(acc, ("rshare", "last", k))
     ctx.counters.ops += (n - 1) * len(values)
     return row
+
+
+def row_share_packed(ctx: MaskingContext, values: list[int]) -> PackedRow:
+    """row_share into a PackedRow: the same draws, shares and charges."""
+    l = len(values)
+    if l == 0:
+        raise LengthZero("row of length 0")
+    per = ctx.n - 1
+    w = ctx.field.w
+    # per coefficient the scalar path draws shares 0..n-2 in turn
+    block = ctx.rng.draw_block(per * l, w)
+    shares = [int.from_bytes(block[i::per], "little") for i in range(per)]
+    last = int.from_bytes(bytes(values), "little")
+    for v in shares:
+        last ^= v
+    c = ctx.counters
+    c.ops += 2 * per * l
+    c.rng_draws += per * l
+    c.rng_bits += per * l * w
+    return _packed_row(shares + [last], l)
 
 
 def row_unshare(row: SharedRow) -> list[int]:
@@ -143,53 +203,46 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: SharedRow,
     # sign-extend each bit share to w bits; local move, not charged
     ext = [(-(bi & 1)) & ones for bi in b]
     if ctx.trace is None:
-        return _cond_add_packed(ctx, ext, x, y, l)
+        return _run_packed(_cond_add_packed, ctx, ext, (x, y), l)
     ctx.emit(ext[0], ("scad", "ext"))
-    out = [[0] * l for _ in range(n)]
     c = ctx.counters
+    cols = []
     for k in range(l):
-        yk = [y[i][k] for i in range(n)]
-        a = sec_and(ctx, yk, ext)
+        a = sec_and(ctx, [s[k] for s in y], ext)
         s = [x[i][k] ^ a[i] for i in range(n)]
         c.ops += n
         ctx.emit(s[0], ("scad", "s", k))
-        s = strong_refresh(ctx, s)
-        for i in range(n):
-            out[i][k] = s[i]
-    return out
+        cols.append(strong_refresh(ctx, s))
+    return [list(s) for s in zip(*cols)]
 
 
 def _cond_add_packed(ctx, ext, x, y, l):
     # per coefficient the scalar path draws the P sec_and randoms, then
-    # the P strong_refresh randoms: pair p reads every span-th byte
+    # the P strong_refresh randoms: pair p reads every span-th byte from p
+    # and from P + p. Both land on shares i and j of the pair, and XOR is
+    # associative, so one pass over the pairs applies them together.
     n = ctx.n
     w = ctx.field.w
     pairs = (n * n - n) // 2
     span = 2 * pairs
-    block = ctx.rng.draw_block(span * l, w)
+    size = span * l
+    block = ctx.rng.draw_block(size, w)
     lanes = int.from_bytes(b"\x01" * l, "little")
     e = [v * lanes for v in ext]
-    ys = _packed(y)
-    z = [ys[i] & e[i] for i in range(n)]
+    s = [xi ^ (yi & ei) for xi, yi, ei in zip(x, y, e)]
     p = 0
     for i in range(n - 1):
         for j in range(i + 1, n):
-            r = int.from_bytes(block[p::span], "little")
-            z[i] ^= r
-            z[j] ^= r ^ (ys[i] & e[j]) ^ (ys[j] & e[i])
-            p += 1
-    s = [xi ^ zi for xi, zi in zip(_packed(x), z)]
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            r = int.from_bytes(block[p::span], "little")
+            r = (int.from_bytes(block[p::span], "little")
+                 ^ int.from_bytes(block[pairs + p::span], "little"))
             s[i] ^= r
-            s[j] ^= r
+            s[j] ^= r ^ (y[i] & e[j]) ^ (y[j] & e[i])
             p += 1
     c = ctx.counters
     c.ops += cond_add_ops(n, l)
-    c.rng_draws += span * l
+    c.rng_draws += size
     c.rng_bits += cond_add_bits(n, l, w)
-    return _unpacked(s, l)
+    return s
 
 
 def sec_scalar_mult(ctx: MaskingContext, p: list[int],
@@ -204,20 +257,18 @@ def sec_scalar_mult(ctx: MaskingContext, p: list[int],
     if len(p) != n:
         raise LengthMismatch(f"expected {n} factor shares, got {len(p)}")
     if ctx.trace is None:
-        return _scalar_mult_packed(ctx, p, x, l)
+        return _run_packed(_scalar_mult_packed, ctx, p, (x,), l)
     mul = ctx.field.mul
     c = ctx.counters
     y = [list(s) for s in x]  # working copy, not charged
     ctx.emit(y[0][0], ("ssm", "cp"))
-    for j in range(n):
-        pj = p[j]
+    for j, pj in enumerate(p):
         for k in range(l):
-            col = [mul(pj, y[i][k]) for i in range(n)]
+            col = [mul(pj, s[k]) for s in y]
             c.ops += n
             ctx.emit(col[0], ("ssm", "mul", j, k))
-            col = refresh(ctx, col)
-            for i in range(n):
-                y[i][k] = col[i]
+            for s, v in zip(y, refresh(ctx, col)):
+                s[k] = v
     return y
 
 
@@ -229,21 +280,21 @@ def _scalar_mult_packed(ctx, p, x, l):
     per = n - 1
     stride = per * l
     block = ctx.rng.draw_block(n * stride, w)
-    rows = [bytes(s) for s in x]
+    v = x
     for j in range(n):
         tab = _mul_table(field, p[j])
-        v = [int.from_bytes(b.translate(tab), "little") for b in rows]
+        v = [int.from_bytes(vi.to_bytes(l, "little").translate(tab), "little")
+             for vi in v]
         base = j * stride
         for i in range(1, n):
             r = int.from_bytes(block[base + i - 1:base + stride:per], "little")
             v[0] ^= r
             v[i] ^= r
-        rows = [vi.to_bytes(l, "little") for vi in v]
     c = ctx.counters
     c.ops += scalar_mult_ops(n, l)
     c.rng_draws += n * stride
     c.rng_bits += scalar_mult_bits(n, l, w)
-    return [list(b) for b in rows]
+    return v
 
 
 def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: SharedRow,
@@ -254,17 +305,15 @@ def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: SharedRow,
     if _check_row(base, n) != l:
         raise LengthMismatch("row lengths differ")
     if ctx.trace is None:
-        return _mult_sub_packed(ctx, factor, row, base, l)
+        return _run_packed(_mult_sub_packed, ctx, factor, (row, base), l)
     c = ctx.counters
-    out = [[0] * l for _ in range(n)]
+    cols = []
     for k in range(l):
-        rk = [row[i][k] for i in range(n)]
-        t = sec_mult(ctx, factor, rk)
-        for i in range(n):
-            out[i][k] = base[i][k] ^ t[i]
+        t = sec_mult(ctx, factor, [s[k] for s in row])
+        cols.append([base[i][k] ^ t[i] for i in range(n)])
         c.ops += n
-        ctx.emit(out[0][k], ("sms", "z", k))
-    return out
+        ctx.emit(cols[k][0], ("sms", "z", k))
+    return [list(s) for s in zip(*cols)]
 
 
 def _mult_sub_packed(ctx, factor, row, base, l):
@@ -274,22 +323,25 @@ def _mult_sub_packed(ctx, factor, row, base, l):
     w = field.w
     pairs = (n * n - n) // 2
     block = ctx.rng.draw_block(pairs * l, w)
-    rows = [bytes(s) for s in row]
-    # prod[a][b] = factor share a times row share b
-    prod = []
-    for f in factor:
-        tab = _mul_table(field, f)
-        prod.append([int.from_bytes(b.translate(tab), "little") for b in rows])
-    z = [prod[i][i] ^ bi for i, bi in enumerate(_packed(base))]
+    # one translate per factor share covers every row share: slot b of
+    # wide[a], 8l bits wide, is factor share a times row share b
+    cat = b"".join([v.to_bytes(l, "little") for v in row])
+    wide = [int.from_bytes(cat.translate(_mul_table(field, f)), "little")
+            for f in factor]
+    bits = 8 * l
+    lane = (1 << bits) - 1
+    z = [((wide[i] >> (bits * i)) & lane) ^ base[i] for i in range(n)]
     p = 0
     for i in range(n - 1):
         for j in range(i + 1, n):
             r = int.from_bytes(block[p::pairs], "little")
             z[i] ^= r
-            z[j] ^= r ^ prod[i][j] ^ prod[j][i]
+            # factor share i times row share j, plus j times i
+            z[j] ^= r ^ (((wide[i] >> (bits * j))
+                          ^ (wide[j] >> (bits * i))) & lane)
             p += 1
     c = ctx.counters
     c.ops += mult_sub_ops(n, l)
     c.rng_draws += pairs * l
     c.rng_bits += mult_sub_bits(n, l, w)
-    return _unpacked(z, l)
+    return z

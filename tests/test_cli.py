@@ -107,6 +107,18 @@ class TestSolve:
         code, _, err = run(capsys, "solve")
         assert code == 1 and "--in" in err
 
+    def test_zero_count_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "solve", "--random", "--count", "0")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--count" in err
+
+    def test_negative_count_compare_is_a_usage_error(self, capsys):
+        # an empty batch used to report MATCH 0/0 and exit 0
+        code, out, err = run(capsys, "solve", "--random", "--count", "-2",
+                             "--compare")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--count" in err
+
 
 class TestCostTable:
     def test_uov_order_2_has_four_rows(self, capsys):

@@ -218,10 +218,30 @@ def test_traced_and_untraced_solves_agree(field, m):
     assert want.singular  # the rank-deficient system aborts on both paths
 
 
+@pytest.mark.parametrize("field, n, singular", [
+    (F256, 2, False), (F256, 3, False), (F256, 2, True)],
+    ids=["n2", "n3", "n2-singular"])
+def test_traced_and_untraced_solves_agree_at_m44(field, n, singular):
+    # the uov-ip size: long live tails, 946 row-gadget calls per kind
+    rng = random.Random(44 * n + singular)
+    sysm = (singular_system(field, 44, rng) if singular
+            else random_system(field, 44, rng, invertible=False))
+    seed = rng.getrandbits(64)
+    traced = MaskingContext(field, n, seed=seed)
+    traced.trace = []
+    packed = MaskingContext(field, n, seed=seed)
+    want = masked_solve(traced, sysm)
+    assert masked_solve(packed, sysm) == want
+    assert packed.counters.snapshot() == traced.counters.snapshot()
+    assert packed.rng._state == traced.rng._state
+    assert want.singular == singular
+    assert want == gaussian_elimination(sysm)
+
+
 def test_solver_import_leaves_numpy_out():
     # numpy costs the solver's start-up time and memory; only the
-    # statistical probing lab needs it
-    code = ("import sys, mge.linalg, mge.costmodel\n"
+    # statistical probing lab needs it, and the CLI loads it on demand
+    code = ("import sys, mge.linalg, mge.costmodel, mge.cli\n"
             "print('numpy' in sys.modules)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

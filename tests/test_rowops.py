@@ -10,11 +10,17 @@ from mge.masking import MaskingContext, b2m, bool_share, bool_unshare
 from mge.rowops import (
     LengthMismatch,
     LengthZero,
+    PackedRow,
+    pack_row,
+    row_drop,
+    row_head,
     row_share,
+    row_share_packed,
     row_unshare,
     sec_cond_add,
     sec_mult_sub,
     sec_scalar_mult,
+    unpack_row,
 )
 
 F16 = field_new(4)
@@ -238,3 +244,70 @@ def test_packed_path_leaves_inputs_untouched():
     sec_mult_sub(ctx, bool_share(ctx, 7), x, y)
     sec_scalar_mult(ctx, b2m(ctx, bool_share(ctx, 9)), x)
     assert (x, y) == snap
+
+
+# ------------------------------------------- packed rows against list rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(**ROW_CASE)
+def test_packed_rows_match_list_rows(w, n, l, seed):
+    # the list API wraps the int kernels: same shares, counters and tape
+    field = field_new(w)
+    rng = random.Random(seed)
+    x, y = _random_rows(field, n, l, rng, 2)
+    b = [rng.randrange(2) for _ in range(n)]
+    factor = [rng.randrange(field.q) for _ in range(n)]
+    p = [rng.randrange(1, field.q) for _ in range(n)]
+    gadgets = {
+        "sec_cond_add": lambda ctx, u, v: sec_cond_add(ctx, b, u, v),
+        "sec_scalar_mult": lambda ctx, u, v: sec_scalar_mult(ctx, p, u),
+        "sec_mult_sub": lambda ctx, u, v: sec_mult_sub(ctx, factor, u, v),
+    }
+    list_snap = ([list(s) for s in x], [list(s) for s in y])
+    for name, run in gadgets.items():
+        listed = MaskingContext(field, n, seed=seed)
+        packed = MaskingContext(field, n, seed=seed)
+        px, py = pack_row(x), pack_row(y)
+        packed_snap = (list(px), list(py))
+        want = run(listed, x, y)
+        got = run(packed, px, py)
+        assert isinstance(got, PackedRow) and got.l == l, name
+        assert unpack_row(got) == want, name
+        assert packed.counters.snapshot() == listed.counters.snapshot(), name
+        assert packed.rng._state == listed.rng._state, name
+        assert (list(px), list(py)) == packed_snap, name
+        assert px.l == py.l == l, name
+    assert (x, y) == list_snap
+
+
+@settings(max_examples=60, deadline=None)
+@given(**ROW_CASE)
+def test_packed_sharing_and_live_tail_match_list_rows(w, n, l, seed):
+    field = field_new(w)
+    rng = random.Random(seed)
+    values = [rng.randrange(field.q) for _ in range(l)]
+    traced, packed = _twin_contexts(field, n, seed)
+    want = row_share(traced, values)
+    got = row_share_packed(packed, values)
+    assert unpack_row(got) == want and got.l == l
+    assert packed.counters.snapshot() == traced.counters.snapshot()
+    assert packed.rng._state == traced.rng._state
+    assert row_head(got) == row_head(want)
+    if l > 1:
+        dropped = row_drop(got)
+        assert isinstance(dropped, PackedRow)
+        assert unpack_row(dropped) == row_drop(want)
+    assert unpack_row(got) == want  # row_drop left its input alone
+
+
+def test_packed_row_validation():
+    ctx = _ctx(F16, 2)
+    x = row_share_packed(ctx, [1, 2, 3])
+    with pytest.raises(LengthMismatch):
+        sec_cond_add(ctx, bool_share(ctx, 1), x,
+                     row_share_packed(ctx, [1, 2]))
+    with pytest.raises(LengthMismatch):
+        sec_scalar_mult(_ctx(F16, 3), [1, 1, 1], x)
+    with pytest.raises(LengthZero):
+        row_share_packed(ctx, [])
