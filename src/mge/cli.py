@@ -49,21 +49,26 @@ EXIT_LEAK = 4
 EXIT_SELFTEST = 5
 
 
-def _field_for_q(q: int) -> FieldSpec:
-    w = q.bit_length() - 1
-    if q < 2 or (1 << w) != q or w > 8:
-        raise ValueError(f"q must be a power of two in [2, 256], got {q}")
-    return field_new(w)
+def _field_for_q(q) -> FieldSpec:
+    if type(q) is not int or q < 2 or q & (q - 1) or q > 256:
+        raise ValueError(f"q must be a power of two in [2, 256], got {q!r}")
+    return field_new(q.bit_length() - 1)
 
 
 def _parse_system(path: str) -> LinearSystem:
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"system file must hold a JSON object, got "
+                         f"{type(obj).__name__}")
     for key in ("q", "m", "A", "b"):
         if key not in obj:
             raise ValueError(f"missing key {key!r}")
     fieldspec = _field_for_q(obj["q"])
-    if len(obj["A"]) != obj["m"]:
+    m = obj["m"]
+    if type(m) is not int:
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if isinstance(obj["A"], list) and len(obj["A"]) != m:
         raise ValueError("A has wrong row count")
     return LinearSystem(fieldspec, obj["A"], obj["b"])
 
@@ -210,6 +215,9 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bench(cfg: argparse.Namespace) -> int:
+    if cfg.iters < 1:
+        print(f"--iters must be at least 1, got {cfg.iters}", file=sys.stderr)
+        return EXIT_USAGE
     param = cm.PRESETS.get(cfg.param or "")
     if param is None:
         print(f"unknown preset {cfg.param!r} (see cost-table --schemes all)",

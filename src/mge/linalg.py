@@ -9,11 +9,10 @@ masked path keeps every matrix entry Boolean-shared; the only values it
 ever opens are the per-column pivot-liveness bit and, during back
 substitution, the solution coefficients themselves.
 
-Masked rows are live tails, in one loop for both row forms of
-mge.rowops: PackedRows untraced, from share_system to sec_back_sub, and
-list rows under a probe trace. While column j is eliminated, coefficient
-0 of each row from j down is column j (pivot v & 0xFF, or s[0]); then
-the rows below drop it (v >> 8, or s[1:]), so row j ends as columns j..m.
+Masked rows are mge.rowops PackedRows from share_system to sec_back_sub,
+kept as live tails. While column j is eliminated, coefficient 0 of each
+row from j down is column j (byte 0 of every share); then the rows below
+drop it, so row j ends as columns j..m.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .rowops import (
     row_drop,
     row_head,
     row_share,
-    row_share_packed,
     sec_cond_add,
     sec_mult_sub,
     sec_scalar_mult,
@@ -55,16 +53,23 @@ class LinearSystem:
     b: tuple
 
     def __init__(self, field: FieldSpec, a, b):
+        if not isinstance(a, (list, tuple)):
+            raise ValueError(f"A must be a list of rows, got {type(a).__name__}")
         m = len(a)
         if m == 0:
             raise LengthZero("empty system")
         for i, row in enumerate((*a, b)):
+            what = "rhs b" if i == m else f"matrix row A[{i}]"
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"{what} must be a list, got "
+                                 f"{type(row).__name__}")
             if len(row) != m:
-                what = "rhs" if i == m else "matrix row"
                 raise LengthMismatch(f"{what} of length {len(row)}, want {m}")
             for v in row:
-                if not 0 <= v < field.q:
-                    raise ValueError(f"entry {v!r} outside [0, {field.q})")
+                # bool is an int subclass; JSON true is not a field element
+                if type(v) is not int or not 0 <= v < field.q:
+                    raise ValueError(f"{what}: entry {v!r} is not an integer "
+                                     f"in [0, {field.q})")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", tuple(tuple(row) for row in a))
@@ -129,9 +134,7 @@ def gaussian_elimination(system: LinearSystem, pivot_tries: int | None = None,
 
 def share_system(ctx: MaskingContext, system: LinearSystem) -> list:
     """Share the augmented matrix row-wise (not part of gadget costs)."""
-    # untraced, the rows are packed here and stay packed to the end
-    share = row_share_packed if ctx.trace is None else row_share
-    return [share(ctx, list(system.a[j]) + [system.b[j]])
+    return [row_share(ctx, list(system.a[j]) + [system.b[j]])
             for j in range(system.m)]
 
 

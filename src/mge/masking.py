@@ -3,7 +3,7 @@
 Representation. A Boolean sharing of x is a list of n field elements
 whose XOR is x. A multiplicative sharing is a list of n nonzero
 elements whose field product is x. Shared rows (in mge.rowops) are
-share-major: n lists of equal length.
+PackedRows: n share ints with one coefficient per byte.
 
 Tapes. The tapes live in mge.tape and are re-exported here. A
 SeededTape computes its SplitMix64 outputs ahead of use, in one wide

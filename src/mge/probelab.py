@@ -49,7 +49,7 @@ from .masking import (
     sec_mult,
     sec_nonzero,
 )
-from .rowops import sec_cond_add, sec_mult_sub, sec_scalar_mult
+from .rowops import PackedRow, sec_cond_add, sec_mult_sub, sec_scalar_mult
 
 ENUMERATION_CAP = 1 << 28
 
@@ -119,20 +119,17 @@ class ProbeSpec:
     broken: bool = False
 
 
-def _wrap_row(share):
-    return [[s] for s in share]
-
-
+# a one-coefficient PackedRow's share ints are the sharing itself
 def _run_cond_add(ctx, b, x, y):
-    sec_cond_add(ctx, b, _wrap_row(x), _wrap_row(y))
+    sec_cond_add(ctx, b, PackedRow(x, 1), PackedRow(y, 1))
 
 
 def _run_scalar_mult(ctx, p, x):
-    sec_scalar_mult(ctx, p, _wrap_row(x))
+    sec_scalar_mult(ctx, p, PackedRow(x, 1))
 
 
 def _run_mult_sub(ctx, c, x, y):
-    sec_mult_sub(ctx, c, _wrap_row(x), _wrap_row(y))
+    sec_mult_sub(ctx, c, PackedRow(x, 1), PackedRow(y, 1))
 
 
 _ONE_COEFFICIENT = {

@@ -1,22 +1,20 @@
 """Gadgets on shared rows.
 
-A shared row has two forms. A list row (SharedRow) is share-major: n
-equal-length coefficient lists whose elementwise XOR is the row. A
-PackedRow is a list of n share ints with the row length in its l slot:
-coefficient k of share i is byte k of int i (w <= 8).
+A shared row is a PackedRow: a list of n share ints with the row length
+in its l slot. Coefficient k of share i is byte k of int i (w <= 8), and
+the XOR of the n ints is the row.
 
 The three row gadgets (conditional row addition, scaling by a
 multiplicatively shared factor, multiply-accumulate by a Boolean-shared
-factor) each have two executions of one algorithm. With a probe trace
-(ctx.trace is a list) a gadget runs coefficient by coefficient on list
-rows through the scalar gadgets of mge.masking, emitting a point per
-wire; that is the reference. Without one a kernel runs on share ints:
-each ISW pair and refresh step is one XOR or AND over the whole row,
-GF products go through a 256-byte multiply table per factor, and the
-randoms come from one SeededTape.draw_block, sliced in the order the
-scalar path draws them. A PackedRow comes back packed; a list row is
-packed, run through the same kernel and unpacked. Both executions give
-the same shares, counters at the gadget boundary and final tape state.
+factor) and row_share each have two executions of one algorithm. With a
+probe trace (ctx.trace is a list) a gadget runs coefficient by
+coefficient through the scalar gadgets of mge.masking, emitting a point
+per wire; that is the reference. Without one a kernel runs on the share
+ints: each ISW pair and refresh step is one XOR or AND over the whole
+row, GF products go through a 256-byte multiply table per factor, and
+the randoms come from one SeededTape.draw_block, sliced in the order the
+scalar path draws them. Both executions give the same shares, counters
+at the gadget boundary and final tape state.
 
 Live tails (mge.linalg): a row holds the columns it has left; row_head
 reads the shares of its coefficient 0 and row_drop removes it.
@@ -26,19 +24,15 @@ from __future__ import annotations
 
 from .masking import MaskingContext, refresh, sec_and, sec_mult, strong_refresh
 
-SharedRow = list
-
 
 class PackedRow(list):
-    """n share ints plus the row length l; untraced gadgets only."""
+    """A shared row: n share ints, coefficient k in byte k, length l."""
 
     __slots__ = ("l",)
 
-
-def _packed_row(shares, l: int) -> PackedRow:
-    row = PackedRow(shares)
-    row.l = l
-    return row
+    def __init__(self, shares, l: int):
+        self.extend(shares)  # a bound call; list.__init__ costs twice as much
+        self.l = l
 
 
 class LengthMismatch(ValueError):
@@ -50,52 +44,36 @@ class LengthZero(ValueError):
 
 
 def _check_row(row, n: int) -> int:
+    try:
+        l = row.l
+    except AttributeError:
+        raise TypeError(f"a shared row is a PackedRow, not a "
+                        f"{type(row).__name__}") from None
     if len(row) != n:
         raise LengthMismatch(f"expected {n} shares, got {len(row)}")
-    if isinstance(row, PackedRow):
-        l = row.l
-    else:
-        l = len(row[0])
-        for s in row:
-            if len(s) != l:
-                raise LengthMismatch("share vectors differ in length")
     if l == 0:
         raise LengthZero("row of length 0")
     return l
 
 
-def pack_row(row: SharedRow) -> PackedRow:
-    """The packed form of a list row."""
-    return _packed_row([int.from_bytes(bytes(s), "little") for s in row],
-                       len(row[0]))
+def unpack_row(row: PackedRow) -> list[list[int]]:
+    """The coefficient lists of the n shares."""
+    return [list(v.to_bytes(row.l, "little")) for v in row]
 
 
-def unpack_row(row) -> SharedRow:
-    """The list form of a row; a list row is returned as it is."""
-    if isinstance(row, PackedRow):
-        return [list(v.to_bytes(row.l, "little")) for v in row]
-    return row
-
-
-def row_head(row) -> list[int]:
+def row_head(row: PackedRow) -> list[int]:
     """The shares of coefficient 0."""
-    if isinstance(row, PackedRow):
-        return [v & 0xFF for v in row]
-    return [s[0] for s in row]
+    return [v & 0xFF for v in row]
 
 
-def row_drop(row):
-    """The row without coefficient 0, in the same form."""
-    if isinstance(row, PackedRow):
-        return _packed_row([v >> 8 for v in row], row.l - 1)
-    return [s[1:] for s in row]
+def row_drop(row: PackedRow) -> PackedRow:
+    """The row without coefficient 0."""
+    return PackedRow([v >> 8 for v in row], row.l - 1)
 
 
-def _run_packed(kernel, ctx, arg, rows, l):
-    # the list API wraps the int kernel; the result takes rows[0]'s form
-    ints = [r if isinstance(r, PackedRow) else pack_row(r) for r in rows]
-    out = _packed_row(kernel(ctx, arg, *ints, l), l)
-    return out if isinstance(rows[0], PackedRow) else unpack_row(out)
+def _pack(shares, l: int) -> PackedRow:
+    # one coefficient sequence per share, each value a byte
+    return PackedRow([int.from_bytes(s, "little") for s in shares], l)
 
 
 # (w, poly, c) -> bytes.translate table of v -> c*v, built on first use
@@ -138,57 +116,47 @@ def mult_sub_bits(n: int, l: int, w: int) -> int:
     return (n * n - n) // 2 * l * w
 
 
-def row_share(ctx: MaskingContext, values: list[int]) -> SharedRow:
-    """Share a public row coefficient-wise (share-major result)."""
-    if ctx.trace is None:
-        return unpack_row(row_share_packed(ctx, values))
-    if len(values) == 0:
-        raise LengthZero("row of length 0")
-    n = ctx.n
-    row = [[0] * len(values) for _ in range(n)]
-    for k, v in enumerate(values):
-        acc = v
-        for i in range(n - 1):
-            r = ctx.rand()
-            row[i][k] = r
-            acc ^= r
-            ctx.emit(r, ("rshare", "r", k, i))
-        row[n - 1][k] = acc
-        ctx.emit(acc, ("rshare", "last", k))
-    ctx.counters.ops += (n - 1) * len(values)
-    return row
-
-
-def row_share_packed(ctx: MaskingContext, values: list[int]) -> PackedRow:
-    """row_share into a PackedRow: the same draws, shares and charges."""
+def row_share(ctx: MaskingContext, values: list[int]) -> PackedRow:
+    """Share a public row coefficient-wise: n-1 draws and n-1 XORs each."""
     l = len(values)
     if l == 0:
         raise LengthZero("row of length 0")
     per = ctx.n - 1
-    w = ctx.field.w
-    # per coefficient the scalar path draws shares 0..n-2 in turn
-    block = ctx.rng.draw_block(per * l, w)
-    shares = [int.from_bytes(block[i::per], "little") for i in range(per)]
+    if ctx.trace is None:
+        w = ctx.field.w
+        # per coefficient the scalar path draws shares 0..n-2 in turn
+        block = ctx.rng.draw_block(per * l, w)
+        shares = [int.from_bytes(block[i::per], "little") for i in range(per)]
+        c = ctx.counters
+        c.ops += 2 * per * l
+        c.rng_draws += per * l
+        c.rng_bits += per * l * w
+    else:
+        shares = [0] * per
+        for k, acc in enumerate(values):
+            sh = 8 * k
+            for i in range(per):
+                r = ctx.rand()
+                shares[i] |= r << sh
+                acc ^= r
+                ctx.emit(r, ("rshare", "r", k, i))
+            ctx.emit(acc, ("rshare", "last", k))
+        ctx.counters.ops += per * l
     last = int.from_bytes(bytes(values), "little")
     for v in shares:
         last ^= v
-    c = ctx.counters
-    c.ops += 2 * per * l
-    c.rng_draws += per * l
-    c.rng_bits += per * l * w
-    return _packed_row(shares + [last], l)
+    return PackedRow(shares + [last], l)
 
 
-def row_unshare(row: SharedRow) -> list[int]:
-    out = list(row[0])
-    for s in row[1:]:
-        for k, v in enumerate(s):
-            out[k] ^= v
-    return out
+def row_unshare(row: PackedRow) -> list[int]:
+    acc = 0
+    for v in row:
+        acc ^= v
+    return list(acc.to_bytes(row.l, "little"))
 
 
-def sec_cond_add(ctx: MaskingContext, b: list[int], x: SharedRow,
-                 y: SharedRow) -> SharedRow:
+def sec_cond_add(ctx: MaskingContext, b: list[int], x: PackedRow,
+                 y: PackedRow) -> PackedRow:
     """x + b*y for a shared bit b: ops (5n^2-3n)l, bits (n^2-n)lw.
 
     b is extended share-locally to a full-width mask, then every
@@ -203,17 +171,18 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: SharedRow,
     # sign-extend each bit share to w bits; local move, not charged
     ext = [(-(bi & 1)) & ones for bi in b]
     if ctx.trace is None:
-        return _run_packed(_cond_add_packed, ctx, ext, (x, y), l)
+        return _cond_add_packed(ctx, ext, x, y, l)
     ctx.emit(ext[0], ("scad", "ext"))
     c = ctx.counters
     cols = []
     for k in range(l):
-        a = sec_and(ctx, [s[k] for s in y], ext)
-        s = [x[i][k] ^ a[i] for i in range(n)]
+        sh = 8 * k  # coefficient k of share v is (v >> sh) & 0xFF
+        a = sec_and(ctx, [(v >> sh) & 0xFF for v in y], ext)
+        s = [((v >> sh) & 0xFF) ^ ai for v, ai in zip(x, a)]
         c.ops += n
         ctx.emit(s[0], ("scad", "s", k))
         cols.append(strong_refresh(ctx, s))
-    return [list(s) for s in zip(*cols)]
+    return _pack(zip(*cols), l)
 
 
 def _cond_add_packed(ctx, ext, x, y, l):
@@ -242,11 +211,11 @@ def _cond_add_packed(ctx, ext, x, y, l):
     c.ops += cond_add_ops(n, l)
     c.rng_draws += size
     c.rng_bits += cond_add_bits(n, l, w)
-    return s
+    return PackedRow(s, l)
 
 
 def sec_scalar_mult(ctx: MaskingContext, p: list[int],
-                    x: SharedRow) -> SharedRow:
+                    x: PackedRow) -> PackedRow:
     """Scale a row by multiplicatively shared p: ops (5n^2-3n)l.
 
     One factor share at a time; every coefficient is refreshed after
@@ -257,19 +226,19 @@ def sec_scalar_mult(ctx: MaskingContext, p: list[int],
     if len(p) != n:
         raise LengthMismatch(f"expected {n} factor shares, got {len(p)}")
     if ctx.trace is None:
-        return _run_packed(_scalar_mult_packed, ctx, p, (x,), l)
+        return _scalar_mult_packed(ctx, p, x, l)
     mul = ctx.field.mul
     c = ctx.counters
-    y = [list(s) for s in x]  # working copy, not charged
-    ctx.emit(y[0][0], ("ssm", "cp"))
+    # working copy by coefficient, not charged
+    cols = [[(v >> sh) & 0xFF for v in x] for sh in range(0, 8 * l, 8)]
+    ctx.emit(cols[0][0], ("ssm", "cp"))
     for j, pj in enumerate(p):
-        for k in range(l):
-            col = [mul(pj, s[k]) for s in y]
+        for k, col in enumerate(cols):
+            col = [mul(pj, v) for v in col]
             c.ops += n
             ctx.emit(col[0], ("ssm", "mul", j, k))
-            for s, v in zip(y, refresh(ctx, col)):
-                s[k] = v
-    return y
+            cols[k] = refresh(ctx, col)
+    return _pack(zip(*cols), l)
 
 
 def _scalar_mult_packed(ctx, p, x, l):
@@ -294,26 +263,27 @@ def _scalar_mult_packed(ctx, p, x, l):
     c.ops += scalar_mult_ops(n, l)
     c.rng_draws += n * stride
     c.rng_bits += scalar_mult_bits(n, l, w)
-    return v
+    return PackedRow(v, l)
 
 
-def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: SharedRow,
-                 base: SharedRow) -> SharedRow:
+def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: PackedRow,
+                 base: PackedRow) -> PackedRow:
     """base + factor*row coefficient-wise: ops (7n^2-3n)l/2."""
     n = ctx.n
     l = _check_row(row, n)
     if _check_row(base, n) != l:
         raise LengthMismatch("row lengths differ")
     if ctx.trace is None:
-        return _run_packed(_mult_sub_packed, ctx, factor, (row, base), l)
+        return _mult_sub_packed(ctx, factor, row, base, l)
     c = ctx.counters
     cols = []
     for k in range(l):
-        t = sec_mult(ctx, factor, [s[k] for s in row])
-        cols.append([base[i][k] ^ t[i] for i in range(n)])
+        sh = 8 * k
+        t = sec_mult(ctx, factor, [(v >> sh) & 0xFF for v in row])
+        cols.append([((v >> sh) & 0xFF) ^ ti for v, ti in zip(base, t)])
         c.ops += n
         ctx.emit(cols[k][0], ("sms", "z", k))
-    return [list(s) for s in zip(*cols)]
+    return _pack(zip(*cols), l)
 
 
 def _mult_sub_packed(ctx, factor, row, base, l):
@@ -344,4 +314,4 @@ def _mult_sub_packed(ctx, factor, row, base, l):
     c.ops += mult_sub_ops(n, l)
     c.rng_draws += pairs * l
     c.rng_bits += mult_sub_bits(n, l, w)
-    return z
+    return PackedRow(z, l)

@@ -98,6 +98,21 @@ class TestSolve:
             code, _, err = run(capsys, "solve", "--in", path)
             assert code == 1, q
 
+    @pytest.mark.parametrize("obj, named", [
+        (5, "object"),
+        ({"q": 16, "m": 1, "A": [5], "b": [1]}, "A[0]"),
+        ({"q": 16, "m": 1, "A": [[1]], "b": 1}, "rhs b"),
+        ({"q": 16, "m": 1, "A": [["x"]], "b": [1]}, "'x'"),
+        ({"q": 16.0, "m": 1, "A": [[1]], "b": [1]}, "q must"),
+        ({"q": 16, "m": 1, "A": [[True]], "b": [1]}, "True"),
+    ], ids=["not-an-object", "row-not-a-list", "rhs-not-a-list",
+            "string-entry", "float-q", "bool-entry"])
+    def test_malformed_system_is_a_usage_error(self, capsys, sys_file, obj,
+                                               named):
+        code, out, err = run(capsys, "solve", "--in", sys_file(obj))
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and named in err
+
     def test_shape_mismatch_exit_1(self, capsys, sys_file):
         path = sys_file({"q": 16, "m": 2, "A": [[1, 2]], "b": [1, 2]})
         code, _, _ = run(capsys, "solve", "--in", path)
@@ -240,6 +255,14 @@ class TestBench:
         assert "ops_total=" in lines[1] and "ratio=" in lines[1]
         ops = [int(l.split("ops_total=")[1].split()[0]) for l in lines[1:]]
         assert ops[1] > ops[0]
+
+    @pytest.mark.parametrize("iters", ["0", "-1"])
+    def test_iters_below_one_is_a_usage_error(self, capsys, iters):
+        # an empty timing list used to fail with "no median for empty data"
+        code, out, err = run(capsys, "bench", "--param", "uov-ip",
+                             "--iters", iters)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--iters" in err
 
     def test_unknown_preset_exit_1(self, capsys):
         code, _, err = run(capsys, "bench", "--param", "rainbow-i")

@@ -11,11 +11,9 @@ from mge.rowops import (
     LengthMismatch,
     LengthZero,
     PackedRow,
-    pack_row,
     row_drop,
     row_head,
     row_share,
-    row_share_packed,
     row_unshare,
     sec_cond_add,
     sec_mult_sub,
@@ -39,6 +37,7 @@ class TestRowSharing:
         for _ in range(200):
             vals = [rng.randrange(256) for _ in range(rng.randrange(1, 12))]
             row = row_share(ctx, vals)
+            assert isinstance(row, PackedRow) and row.l == len(vals)
             assert len(row) == n
             assert row_unshare(row) == vals
 
@@ -97,8 +96,7 @@ class TestSemantics:
         ctx = _ctx(F16, 2)
         x = row_share(ctx, [1, 2, 3])
         y = row_share(ctx, [4, 5, 6])
-        snap_x = [list(s) for s in x]
-        snap_y = [list(s) for s in y]
+        snap_x, snap_y = list(x), list(y)
         sec_cond_add(ctx, bool_share(ctx, 1), x, y)
         p = b2m(ctx, bool_share(ctx, 7))
         sec_scalar_mult(ctx, p, x)
@@ -152,7 +150,7 @@ class TestValidation:
     def test_share_count_mismatch(self):
         ctx = _ctx(F16, 3)
         good = row_share(ctx, [1, 2])
-        bad = [[1, 2], [3, 4]]  # two shares where three are expected
+        bad = PackedRow([0x0201, 0x0403], 2)  # two shares, three expected
         with pytest.raises(LengthMismatch):
             sec_cond_add(ctx, bool_share(ctx, 1), good, bad)
 
@@ -162,10 +160,19 @@ class TestValidation:
             sec_mult_sub(ctx, bool_share(ctx, 1), row_share(ctx, [1, 2]),
                          row_share(ctx, [1, 2, 3]))
 
-    def test_ragged_shares_rejected(self):
-        ctx = _ctx(F16, 2)
-        with pytest.raises(LengthMismatch):
-            sec_scalar_mult(ctx, [1, 1], [[1, 2], [3]])
+    def test_list_row_rejected(self):
+        listed = [[1, 2], [3, 4]]  # share-major coefficient lists
+        for trace in (None, []):
+            ctx = _ctx(F16, 2)
+            ctx.trace = trace
+            good = row_share(ctx, [1, 2])
+            for run in (lambda: sec_cond_add(ctx, [1, 0], listed, good),
+                        lambda: sec_cond_add(ctx, [1, 0], good, listed),
+                        lambda: sec_scalar_mult(ctx, [1, 1], listed),
+                        lambda: sec_mult_sub(ctx, [1, 0], listed, good),
+                        lambda: sec_mult_sub(ctx, [1, 0], good, listed)):
+                with pytest.raises(TypeError):
+                    run()
 
     def test_factor_share_count(self):
         ctx = _ctx(F16, 2)
@@ -184,18 +191,24 @@ def _twin_contexts(field, n, seed):
 
 
 def _random_rows(field, n, l, rng, count):
-    return [[[rng.randrange(field.q) for _ in range(l)] for _ in range(n)]
+    return [PackedRow([int.from_bytes(bytes(rng.randrange(field.q)
+                                            for _ in range(l)), "little")
+                       for _ in range(n)], l)
             for _ in range(count)]
 
 
-def _assert_twins_agree(run, field, n, seed):
+def _assert_twins_agree(run, field, n, seed, l, rows=()):
+    snap = [(list(r), r.l) for r in rows]
     traced, packed = _twin_contexts(field, n, seed)
     want = run(traced)
     got = run(packed)
     assert traced.trace, "the traced context must take the scalar path"
+    for out in (want, got):
+        assert isinstance(out, PackedRow) and out.l == l
     assert got == want
     assert packed.counters.snapshot() == traced.counters.snapshot()
     assert packed.rng._state == traced.rng._state
+    assert [(list(r), r.l) for r in rows] == snap, "an input row changed"
 
 
 ROW_CASE = dict(w=st.integers(1, 8), n=st.integers(2, 5),
@@ -210,7 +223,7 @@ def test_cond_add_packed_matches_scalar(w, n, l, seed):
     x, y = _random_rows(field, n, l, rng, 2)
     b = [rng.randrange(2) for _ in range(n)]
     _assert_twins_agree(lambda ctx: sec_cond_add(ctx, b, x, y), field, n,
-                        seed)
+                        seed, l, (x, y))
 
 
 @settings(max_examples=80, deadline=None)
@@ -221,7 +234,7 @@ def test_mult_sub_packed_matches_scalar(w, n, l, seed):
     row, base = _random_rows(field, n, l, rng, 2)
     factor = [rng.randrange(field.q) for _ in range(n)]
     _assert_twins_agree(lambda ctx: sec_mult_sub(ctx, factor, row, base),
-                        field, n, seed)
+                        field, n, seed, l, (row, base))
 
 
 @settings(max_examples=80, deadline=None)
@@ -232,82 +245,45 @@ def test_scalar_mult_packed_matches_scalar(w, n, l, seed):
     (x,) = _random_rows(field, n, l, rng, 1)
     p = [rng.randrange(1, field.q) for _ in range(n)]
     _assert_twins_agree(lambda ctx: sec_scalar_mult(ctx, p, x), field, n,
-                        seed)
+                        seed, l, (x,))
 
 
 def test_packed_path_leaves_inputs_untouched():
     ctx = _ctx(F256, 3)
     x = row_share(ctx, [1, 2, 3])
     y = row_share(ctx, [4, 5, 6])
-    snap = [list(s) for s in x], [list(s) for s in y]
+    snap = list(x), list(y)
     sec_cond_add(ctx, bool_share(ctx, 1), x, y)
     sec_mult_sub(ctx, bool_share(ctx, 7), x, y)
     sec_scalar_mult(ctx, b2m(ctx, bool_share(ctx, 9)), x)
     assert (x, y) == snap
 
 
-# ------------------------------------------- packed rows against list rows
-
-
 @settings(max_examples=60, deadline=None)
 @given(**ROW_CASE)
-def test_packed_rows_match_list_rows(w, n, l, seed):
-    # the list API wraps the int kernels: same shares, counters and tape
-    field = field_new(w)
-    rng = random.Random(seed)
-    x, y = _random_rows(field, n, l, rng, 2)
-    b = [rng.randrange(2) for _ in range(n)]
-    factor = [rng.randrange(field.q) for _ in range(n)]
-    p = [rng.randrange(1, field.q) for _ in range(n)]
-    gadgets = {
-        "sec_cond_add": lambda ctx, u, v: sec_cond_add(ctx, b, u, v),
-        "sec_scalar_mult": lambda ctx, u, v: sec_scalar_mult(ctx, p, u),
-        "sec_mult_sub": lambda ctx, u, v: sec_mult_sub(ctx, factor, u, v),
-    }
-    list_snap = ([list(s) for s in x], [list(s) for s in y])
-    for name, run in gadgets.items():
-        listed = MaskingContext(field, n, seed=seed)
-        packed = MaskingContext(field, n, seed=seed)
-        px, py = pack_row(x), pack_row(y)
-        packed_snap = (list(px), list(py))
-        want = run(listed, x, y)
-        got = run(packed, px, py)
-        assert isinstance(got, PackedRow) and got.l == l, name
-        assert unpack_row(got) == want, name
-        assert packed.counters.snapshot() == listed.counters.snapshot(), name
-        assert packed.rng._state == listed.rng._state, name
-        assert (list(px), list(py)) == packed_snap, name
-        assert px.l == py.l == l, name
-    assert (x, y) == list_snap
-
-
-@settings(max_examples=60, deadline=None)
-@given(**ROW_CASE)
-def test_packed_sharing_and_live_tail_match_list_rows(w, n, l, seed):
+def test_row_share_and_live_tail_traced_matches_untraced(w, n, l, seed):
     field = field_new(w)
     rng = random.Random(seed)
     values = [rng.randrange(field.q) for _ in range(l)]
-    traced, packed = _twin_contexts(field, n, seed)
-    want = row_share(traced, values)
-    got = row_share_packed(packed, values)
-    assert unpack_row(got) == want and got.l == l
-    assert packed.counters.snapshot() == traced.counters.snapshot()
-    assert packed.rng._state == traced.rng._state
-    assert row_head(got) == row_head(want)
+    _assert_twins_agree(lambda ctx: row_share(ctx, values), field, n, seed,
+                        l)
+    row = row_share(_ctx(field, n, seed), values)
+    lists = unpack_row(row)
+    assert row_unshare(row) == values
+    assert row_head(row) == [s[0] for s in lists]
     if l > 1:
-        dropped = row_drop(got)
-        assert isinstance(dropped, PackedRow)
-        assert unpack_row(dropped) == row_drop(want)
-    assert unpack_row(got) == want  # row_drop left its input alone
+        dropped = row_drop(row)
+        assert isinstance(dropped, PackedRow) and dropped.l == l - 1
+        assert unpack_row(dropped) == [s[1:] for s in lists]
+    assert unpack_row(row) == lists  # row_drop left its input alone
 
 
 def test_packed_row_validation():
     ctx = _ctx(F16, 2)
-    x = row_share_packed(ctx, [1, 2, 3])
+    x = row_share(ctx, [1, 2, 3])
     with pytest.raises(LengthMismatch):
-        sec_cond_add(ctx, bool_share(ctx, 1), x,
-                     row_share_packed(ctx, [1, 2]))
+        sec_cond_add(ctx, bool_share(ctx, 1), x, row_share(ctx, [1, 2]))
     with pytest.raises(LengthMismatch):
         sec_scalar_mult(_ctx(F16, 3), [1, 1, 1], x)
     with pytest.raises(LengthZero):
-        row_share_packed(ctx, [])
+        row_share(ctx, [])
