@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import statistics
@@ -162,6 +163,11 @@ def cmd_cost_table(cfg: argparse.Namespace) -> int:
 def cmd_leakcheck(cfg: argparse.Namespace) -> int:
     from . import probelab as pl  # numpy loads only for the commands that probe
     fieldspec = field_new(cfg.w)
+    if not (math.isfinite(cfg.threshold) and cfg.threshold > 0):
+        # at or below 0 every point would be flagged, at nan or inf none
+        print(f"--threshold must be a finite number above 0, got "
+              f"{cfg.threshold}", file=sys.stderr)
+        return EXIT_USAGE
     statistical = cfg.pipeline or cfg.mode == "statistical"
     if statistical and cfg.samples < 4:
         # a Welch t needs a sample variance, so two traces per class
@@ -214,9 +220,23 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
     return EXIT_OK if summary["pass"] else EXIT_LEAK
 
 
+class BenchSolveFailed(ValueError):
+    """A bench solve found no solution to a system drawn invertible."""
+
+
+def _check_solved(out, path: str) -> None:
+    if out.x is None:
+        raise BenchSolveFailed(f"{path} solve aborted at column "
+                               f"{out.fail_index} of an invertible system")
+
+
 def cmd_bench(cfg: argparse.Namespace) -> int:
     if cfg.iters < 1:
         print(f"--iters must be at least 1, got {cfg.iters}", file=sys.stderr)
+        return EXIT_USAGE
+    if not cfg.shares or min(cfg.shares) < 2:
+        print(f"--shares must list share counts of at least 2, got "
+              f"{','.join(map(str, cfg.shares))!r}", file=sys.stderr)
         return EXIT_USAGE
     param = cm.PRESETS.get(cfg.param or "")
     if param is None:
@@ -234,7 +254,7 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         out = gaussian_elimination(sysm)
         unmasked_times.append(time.perf_counter() - t0)
-        assert out.x is not None
+        _check_solved(out, "reference")
     unmasked_ms = 1000 * statistics.median(unmasked_times)
 
     prev_ops = -1
@@ -246,7 +266,7 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             out = masked_solve(ctx, sysm)
             times.append(time.perf_counter() - t0)
-            assert out.x is not None
+            _check_solved(out, f"masked n={n}")
         ops, draws, bits = ctx.counters.snapshot()
         line = (f"n={n} ops_total={ops} rng_draws={draws} "
                 f"rng_bits={bits}")

@@ -19,9 +19,13 @@ Two conventions matter and are applied here once:
 * multiplicative-share draws inside b2m are randomness but not ops;
 * sec_nonzero executes on the width padded to a power of two, then
   aligns its op and bit totals to the closed form (which counts levels
-  as ceil(log2(w+1))) when it returns; untraced, it charges the closed
-  form once. Alignment can subtract a few bits, so counters are meant
-  to be read at gadget boundaries.
+  as ceil(log2(w+1))) when it returns; untraced, it folds the shares
+  packed one per byte of an int, by a plan cached per (n, w), and
+  charges the closed form once. Alignment can subtract a few bits, so
+  counters are meant to be read at gadget boundaries.
+
+Untraced, strong_refresh (and full_add through it) takes its pair
+randoms from one draw_block and charges what the per-pair draws would.
 
 Probing hooks. When ctx.trace is a list, gadgets append one probe value
 per unit operation that produces a share-derived wire (vector-level
@@ -177,23 +181,39 @@ def refresh(ctx: MaskingContext, x: list[int]) -> list[int]:
 
 def strong_refresh(ctx: MaskingContext, x: list[int],
                    width: int | None = None) -> list[int]:
-    """Pairwise refresh: ops 3(n^2-n)/2, bits (n^2-n)/2 * width."""
+    """Pairwise refresh: ops 3(n^2-n)/2, bits (n^2-n)/2 * width.
+
+    Untraced, the pair randoms come from one draw_block, in pair order.
+    """
     c = ctx.counters
     n = ctx.n
     y = list(x)  # copy not charged
     tr = ctx.trace
-    if tr is not None:
-        ctx.emit(y[0], ("sref", "cp"))
+    if tr is None:
+        w = ctx.field.w if width is None else width
+        pairs = (n * n - n) >> 1
+        rs = ctx.rng.draw_block(pairs, w)
+        p = 0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                r = rs[p]
+                y[i] ^= r
+                y[j] ^= r
+                p += 1
+        c.ops += 3 * pairs
+        c.rng_draws += pairs
+        c.rng_bits += pairs * w
+        return y
+    ctx.emit(y[0], ("sref", "cp"))
     for i in range(n - 1):
         for j in range(i + 1, n):
             r = ctx.rand(width)
             y[i] ^= r
             y[j] ^= r
             c.ops += 2
-            if tr is not None:
-                ctx.emit(r, ("sref", "r", i, j))
-                ctx.emit(y[i], ("sref", "yi", i, j))
-                ctx.emit(y[j], ("sref", "yj", i, j))
+            ctx.emit(r, ("sref", "r", i, j))
+            ctx.emit(y[i], ("sref", "yi", i, j))
+            ctx.emit(y[j], ("sref", "yj", i, j))
     return y
 
 
@@ -324,22 +344,23 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
     Executes on the width padded to the next power of two; op and bit
     totals are aligned to the closed form on return. With a probe trace
     each level runs strong_refresh and sec_or, the reference; without
-    one the same fold runs inline on the share ints and charges the
-    closed form once.
+    one the same fold runs inline on the shares packed into one int and
+    charges the closed form once.
     """
     n = ctx.n
     w = ctx.field.w
     c = ctx.counters
+    if ctx.trace is None:
+        plan = _NONZERO_PLANS.get((n, w)) or _nonzero_plan(n, w)
+        ops, draws, bits, levels, spreads, shifts = plan
+        t = _nonzero_packed(ctx.rng, int.from_bytes(bytes(x), "little"),
+                            levels, spreads, shifts, n)
+        c.ops += ops
+        c.rng_draws += draws
+        c.rng_bits += bits
+        return t
     padded = 1 << (w - 1).bit_length() if w > 1 else 1
     levels = (padded - 1).bit_length()
-    printed_ops = nonzero_ops(n, w)
-    printed_bits = nonzero_bits(n, w)
-    if ctx.trace is None:
-        t = _nonzero_packed(ctx, list(x), padded)
-        c.ops += printed_ops
-        c.rng_draws += levels * (n * n - n)
-        c.rng_bits += printed_bits
-        return t
     t = list(x)
     c.ops += n  # working copy is charged
     ctx.emit(t[0], ("snz", "cp"))
@@ -356,34 +377,59 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
         width = half
     ctx.emit(t[0], ("snz", "bit"))
     # align to the closed form
-    c.ops += printed_ops - (n + levels * (5 * n * n - 2 * n + 1))
-    c.rng_bits += printed_bits - (n * n - n) * (padded - 1)
+    c.ops += nonzero_ops(n, w) - (n + levels * (5 * n * n - 2 * n + 1))
+    c.rng_bits += nonzero_bits(n, w) - (n * n - n) * (padded - 1)
     return t
 
 
-def _nonzero_packed(ctx, t, width):
-    # per level the scalar path draws the strong_refresh randoms, then
-    # those of sec_or's sec_and, one per pair each, all half bits wide
-    n = ctx.n
-    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-    while width > 1:
-        width >>= 1
-        ones = (1 << width) - 1
-        rs = ctx.rng.draw_block(2 * len(pairs), width)
-        hi = [(v >> width) & ones for v in t]
-        lo = [v & ones for v in t]
-        for (i, j), r in zip(pairs, rs):
-            hi[i] ^= r
-            hi[j] ^= r
+# (n, w) -> what an untraced sec_nonzero needs: the closed-form ops, the
+# draws and the closed-form bits it charges; per fold level the half
+# width, its mask in every share's byte and in share 0's; per share pair
+# (i, j) the int with bytes i and j set to 1; the shifts 8d that line
+# share i + d up with share i, d = 1..n-1.
+_NONZERO_PLANS: dict = {}
+
+
+def _nonzero_plan(n, w):
+    padded = 1 << (w - 1).bit_length() if w > 1 else 1
+    every = int.from_bytes(b"\x01" * n, "little")
+    levels = []
+    half = padded >> 1
+    while half:
+        ones = (1 << half) - 1
+        levels.append((half, ones * every, ones))
+        half >>= 1
+    spreads = tuple((1 << 8 * i) | (1 << 8 * j)
+                    for i in range(n - 1) for j in range(i + 1, n))
+    plan = _NONZERO_PLANS[n, w] = (
+        nonzero_ops(n, w), len(levels) * (n * n - n), nonzero_bits(n, w),
+        tuple(levels), spreads, tuple(range(8, 8 * n, 8)))
+    return plan
+
+
+def _nonzero_packed(rng, t, levels, spreads, shifts, n):
+    # share i of every wire is byte i of one int. Per level the scalar
+    # path draws the strong_refresh randoms, then those of sec_or's
+    # sec_and, one per pair each, all half bits wide; r * spread XORs a
+    # pair's random into both of its shares.
+    pairs = len(spreads)
+    for half, mask, ones in levels:
+        rs = rng.draw_block(2 * pairs, half)
+        hi = (t >> half) & mask
+        lo = t & mask
+        for r, s in zip(rs, spreads):
+            hi ^= r * s
         # De Morgan: complement share 0 of both inputs and of the AND
-        hi[0] ^= ones
-        lo[0] ^= ones
-        t = [a & b for a, b in zip(hi, lo)]
-        for (i, j), r in zip(pairs, rs[len(pairs):]):
-            t[i] ^= r
-            t[j] ^= r ^ (hi[i] & lo[j]) ^ (hi[j] & lo[i])
-        t[0] ^= ones
-    return t
+        hi ^= ones
+        lo ^= ones
+        t = hi & lo
+        for r, s in zip(rs[pairs:], spreads):
+            t ^= r * s
+        # ISW cross terms: share i + d takes hi_i lo_(i+d) ^ hi_(i+d) lo_i
+        for d in shifts:
+            t ^= ((hi << d) & lo) ^ (hi & (lo << d))
+        t ^= ones
+    return list(t.to_bytes(n, "little"))
 
 
 # ------------------------------------------------------------ conversions

@@ -185,6 +185,10 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: PackedRow,
     return _pack(zip(*cols), l)
 
 
+# l -> the int with byte 1 in each of its l bytes
+_LANES: dict = {}
+
+
 def _cond_add_packed(ctx, ext, x, y, l):
     # per coefficient the scalar path draws the P sec_and randoms, then
     # the P strong_refresh randoms: pair p reads every span-th byte from p
@@ -196,7 +200,8 @@ def _cond_add_packed(ctx, ext, x, y, l):
     span = 2 * pairs
     size = span * l
     block = ctx.rng.draw_block(size, w)
-    lanes = int.from_bytes(b"\x01" * l, "little")
+    lanes = _LANES.get(l) or _LANES.setdefault(
+        l, int.from_bytes(b"\x01" * l, "little"))
     e = [v * lanes for v in ext]
     s = [xi ^ (yi & ei) for xi, yi, ei in zip(x, y, e)]
     p = 0
@@ -207,10 +212,11 @@ def _cond_add_packed(ctx, ext, x, y, l):
             s[i] ^= r
             s[j] ^= r ^ (y[i] & e[j]) ^ (y[j] & e[i])
             p += 1
+    # cond_add_ops and cond_add_bits, written out: a call costs less so
     c = ctx.counters
-    c.ops += cond_add_ops(n, l)
+    c.ops += (5 * n * n - 3 * n) * l
     c.rng_draws += size
-    c.rng_bits += cond_add_bits(n, l, w)
+    c.rng_bits += size * w
     return PackedRow(s, l)
 
 

@@ -6,8 +6,11 @@ generator: output t depends only on the seed plus t*gamma. The tape
 computes the top bytes of its next outputs ahead, in one wide int pass
 per refill, and draws of up to 8 bits (draw, draw_nonzero, draw_block)
 read them in order; the look-ahead starts short and doubles up to a
-fixed cap. Its _state is the state that one scalar SplitMix64 step per
-draw would have left, so equal _state means equal draws from there on.
+fixed cap. A cap-sized refill that follows another one gets its lane
+states by adding cap*gamma to the last ones, not by multiplying the
+start state out again. Its _state is the state that one scalar
+SplitMix64 step per draw would have left, so equal _state means equal
+draws from there on.
 
 ReplayTape and DomainTape serve tape enumeration: one feeds back a
 fixed list of values, the other records the draw schedule of a run.
@@ -53,15 +56,19 @@ def _lane_constants(count: int):
     return ones, mask, ramp
 
 
-def _top_bytes(state: int, count: int) -> bytes:
-    """Top bytes of the count SplitMix64 outputs that follow state.
+# Every cap-lane slot holding cap*gamma mod 2^64: added to the lanes of
+# one cap-sized refill, it gives the lanes of the refill that follows.
+_CAP_STEP = ((_AHEAD_CAP * _GAMMA) & _M64) * int.from_bytes(
+    (1).to_bytes(16, "little") * _AHEAD_CAP, "little")
 
-    SplitMix64 is counter-based: output t depends only on the state plus
-    t*gamma, so all count outputs come from one pass of wide int
-    arithmetic.
+
+def _top_bytes(z: int, mask: int, count: int) -> bytes:
+    """Top bytes of the SplitMix64 outputs of the count states in z.
+
+    z holds one 64-bit state per 128-bit lane and mask the lanes' low
+    64 bits; SplitMix64 output t depends only on the seed plus t*gamma,
+    so all count outputs come from one pass of wide int arithmetic.
     """
-    ones, mask, ramp = _lane_constants(count)
-    z = (state * ones + ramp) & mask  # the mask also drops unused ramp lanes
     # mask before each multiply: the shifts spill a lane's low bits
     # into the spare top of the lane below
     z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
@@ -79,21 +86,24 @@ class SeededTape:
     Draws of up to 8 bits read a buffer of the top bytes of the next
     outputs, filled ahead in one wide pass; the look-ahead doubles on
     each refill up to _AHEAD_CAP, so a short-lived tape computes little
-    it never reads. spawn() and draws wider than 8 bits step the scalar
-    generator from the current position and drop the buffer.
+    it never reads. Back-to-back cap-sized refills step the kept lane
+    states of the last one on. spawn() and draws wider than 8 bits step
+    the scalar generator from the current position and drop the buffer
+    and the kept lane states.
 
     _state is the SplitMix64 state that scalar draws would have left:
     the state before the buffer plus gamma per buffered draw read. What
     the tape draws next depends on it alone, never on the buffer.
     """
 
-    __slots__ = ("_base", "_buf", "_pos", "_ahead")
+    __slots__ = ("_base", "_buf", "_pos", "_ahead", "_states")
 
     def __init__(self, seed: int = DEFAULT_SEED):
         self._base = seed & _M64
         self._buf = b""
         self._pos = 0
         self._ahead = _AHEAD_FIRST
+        self._states = None  # lane states of the last refill, if cap-sized
 
     @property
     def _state(self) -> int:
@@ -101,7 +111,7 @@ class SeededTape:
 
     def _next64(self) -> int:
         z = self._base = (self._state + _GAMMA) & _M64
-        self._buf, self._pos = b"", 0
+        self._buf, self._pos, self._states = b"", 0, None
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
         return z ^ (z >> 31)
@@ -109,11 +119,22 @@ class SeededTape:
     def _fill(self, count: int) -> None:
         """Keep the unread draws and buffer at least count from _state on."""
         rest = self._buf[self._pos:]
-        after = (self._base + len(self._buf) * _GAMMA) & _M64
         ahead = self._ahead
         self._ahead = min(ahead << 1, _AHEAD_CAP)
+        size = max(count - len(rest), ahead)
+        ones, mask, ramp = _lane_constants(size)
+        z = self._states
+        if z is not None and size == _AHEAD_CAP:
+            # the last refill was cap-sized too and ended where this one
+            # starts: step its lanes on instead of multiplying out anew
+            z = (z + _CAP_STEP) & mask  # each lane sum stays below 2^65
+        else:
+            after = (self._base + len(self._buf) * _GAMMA) & _M64
+            # the mask also drops the unused lanes of a longer ramp
+            z = (after * ones + ramp) & mask
+        self._states = z if size == _AHEAD_CAP else None
         self._base = self._state
-        self._buf = rest + _top_bytes(after, max(count - len(rest), ahead))
+        self._buf = rest + _top_bytes(z, mask, size)
         self._pos = 0
 
     def draw(self, width: int) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from mge import cli, masking
 from mge.cli import main
+from mge.linalg import SolveOutcome
 
 
 @pytest.fixture()
@@ -236,6 +237,17 @@ class TestLeakcheck:
         assert out == ""
         assert "--samples must be at least 4" in err
 
+    @pytest.mark.parametrize("threshold", ["-1", "0", "nan", "inf"])
+    def test_threshold_not_finite_and_positive_exit_1(self, capsys,
+                                                      threshold):
+        # at or below 0 every point of a sound gadget used to leak
+        code, out, err = run(capsys, "leakcheck", "--gadget", "refresh",
+                             "--mode", "statistical", "--samples", "10",
+                             "--threshold", threshold)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "--threshold must be a finite number above 0" in err
+
     def test_unknown_gadget_exit_1(self, capsys):
         code, _, err = run(capsys, "leakcheck", "--gadget", "nope")
         assert code == 1
@@ -263,6 +275,42 @@ class TestBench:
                              "--iters", iters)
         assert code == cli.EXIT_USAGE
         assert out == "" and "--iters" in err
+
+    @pytest.mark.parametrize("shares", ["1", "2,0"])
+    def test_shares_below_two_is_a_usage_error(self, capsys, monkeypatch,
+                                               shares):
+        # checked before the header and before any reference solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the share counts were checked")
+
+        monkeypatch.setattr(cli, "gaussian_elimination", no_solve)
+        code, out, err = run(capsys, "bench", "--param", "uov-ip",
+                             "--shares", shares, "--iters", "1")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--shares" in err
+
+    def test_one_iteration_solves_once_per_path(self, capsys, monkeypatch):
+        calls = []
+        for name in ("gaussian_elimination", "masked_solve"):
+            def counted(*args, _fn=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        code, out, _ = run(capsys, "bench", "--param", "uov-ip",
+                           "--shares", "2,3", "--iters", "1", "--no-timing")
+        assert code == 0
+        assert out.splitlines()[0].endswith("iters=1")
+        assert calls == ["gaussian_elimination", "masked_solve",
+                         "masked_solve"]
+
+    def test_masked_abort_is_a_typed_error_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "masked_solve", lambda ctx, sysm: (
+            SolveOutcome(None, singular=True, fail_index=3)))
+        code, _, err = run(capsys, "bench", "--param", "mayo-i",
+                           "--iters", "1", "--no-timing")
+        assert code == cli.EXIT_USAGE
+        assert "masked n=2 solve aborted at column 3" in err
 
     def test_unknown_preset_exit_1(self, capsys):
         code, _, err = run(capsys, "bench", "--param", "rainbow-i")

@@ -12,6 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mge import tape as tape_mod
 from mge.gf import field_new
 from mge.masking import (
     DEFAULT_SEED,
@@ -230,6 +231,44 @@ def test_look_ahead_tape_equals_scalar_splitmix(seed, steps):
     assert tape._state == ref.state
 
 
+def test_back_to_back_cap_refills_equal_scalar_splitmix():
+    # cap-sized refills step the lanes of the last one on; a spawn, a
+    # 64-bit draw or a block beyond the cap must make the next refill
+    # start from the tape's state again
+    cap = tape_mod._AHEAD_CAP
+    tape, ref = SeededTape(0xC0FFEE), ScalarSplitMix(0xC0FFEE)
+
+    def blocks(total, size):
+        stepped = 0
+        for _ in range(total // size):
+            had = tape._states
+            assert tape.draw_block(size, 8) == bytes(
+                ref.draw(8) for _ in range(size))
+            assert tape._state == ref.state
+            stepped += had is not None and tape._states is not had
+        return stepped
+
+    # the look-ahead doubles up to the cap; then at least six cap-sized
+    # refills follow one another
+    assert blocks(12 * cap, 100) >= 6
+    child = tape.spawn()
+    child_ref = ScalarSplitMix(ref.next64())
+    assert tape._states is None
+    assert [child.draw(8) for _ in range(3 * cap)] == [
+        child_ref.draw(8) for _ in range(3 * cap)]
+    assert blocks(3 * cap, 300) >= 2
+    assert tape.draw(64) == ref.draw(64)
+    assert tape._states is None
+    assert blocks(3 * cap, 250) >= 1
+    # longer than the cap plus what is left of the buffer
+    assert tape.draw_block(2 * cap + 7, 5) == bytes(
+        ref.draw(5) for _ in range(2 * cap + 7))
+    assert tape._states is None
+    assert blocks(4 * cap, 128) >= 2
+    assert tape.draw(8) == ref.draw(8)
+    assert tape._state == ref.state
+
+
 class TestSharing:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bool_roundtrip_exhaustive_gf16(self, n):
@@ -439,7 +478,7 @@ class TestGadgetSemantics:
         assert chi2 < 37.70, f"chi-square {chi2:.1f} exceeds p=0.001 cutoff"
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("w", range(1, 9))
 def test_untraced_sec_nonzero_equals_traced(n, w):
     # the traced context runs the scalar reference, the untraced one the
@@ -457,6 +496,30 @@ def test_untraced_sec_nonzero_equals_traced(n, w):
         out = sec_nonzero(traced, shares)
         assert sec_nonzero(packed, shares) == out
         assert bool_unshare(out) == (x != 0)
+        assert packed.counters.snapshot() == traced.counters.snapshot()
+        assert packed.rng._state == traced.rng._state
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("w", range(1, 9))
+def test_untraced_refresh_gadgets_equal_traced(n, w):
+    # untraced, strong_refresh draws its pair randoms as one block;
+    # full_add goes through it, and strong_refresh also runs at every
+    # narrower width, as sec_nonzero's fold calls it
+    field = field_new(w)
+    rng = random.Random(n * 16 + w)
+    for rep in range(6):
+        x = [rng.randrange(field.q) for _ in range(n)]
+        seed = rng.getrandbits(64)
+        traced = MaskingContext(field, n, seed=seed)
+        packed = MaskingContext(field, n, seed=seed)
+        traced.trace = []
+        for width in (None, *range(1, w)):
+            assert (strong_refresh(packed, x, width=width)
+                    == strong_refresh(traced, x, width=width))
+            assert packed.counters.snapshot() == traced.counters.snapshot()
+            assert packed.rng._state == traced.rng._state
+        assert full_add(packed, x) == full_add(traced, x) == bool_unshare(x)
         assert packed.counters.snapshot() == traced.counters.snapshot()
         assert packed.rng._state == traced.rng._state
 
