@@ -387,9 +387,7 @@ def _suite_counters(cfg):
 def _suite_pipeline_counters(cfg):
     for (n, m, w) in ((2, 6, 8), (3, 5, 4)):
         ck = cm.counter_vs_formula("pipeline", n, w=w, size=m, seed=cfg.seed)
-        slip_ops = m * (cm.t_cost("sec_cond_add", n, 1)
-                        + cm.t_cost("sec_mult_sub", n, 1))
-        slip_bits = m * 3 * (n * n - n) // 2 * w
+        slip_ops, slip_bits = cm.pipeline_slip(n, m, w)
         if ck.ops_run != ck.ops_form - slip_ops:
             return False, (f"ops relation broken n={n} m={m}: {ck.ops_run} vs "
                            f"{ck.ops_form}-{slip_ops}")
@@ -548,9 +546,12 @@ def _resolve_seed(value) -> int:
     if value is not None:
         return value
     env = os.environ.get("MGE_SEED")
-    if env:
+    if not env:
+        return DEFAULT_SEED
+    try:
         return int(env, 0)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"MGE_SEED must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -621,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
-    ns.seed = _resolve_seed(ns.seed)
     try:
+        ns.seed = _resolve_seed(ns.seed)
         handler = {
             "solve": cmd_solve,
             "cost-table": cmd_cost_table,

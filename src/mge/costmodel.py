@@ -3,36 +3,30 @@
 GADGET_SPECS declares every gadget once: its callable, input kinds,
 closed forms and the probing lab's default secrets. The forms that a
 fast path charges are declared beside that path (mge.rowops,
-mge.masking) and referenced here. t_cost / r_cost return the forms in
-exact integer arithmetic. The elimination total composes them:
+mge.masking) and referenced here; a composite's form sums its parts'.
+t_cost / r_cost return the forms in exact integer arithmetic.
 
-  T_ech = P(m) (T_nonzero + 1)            step 1: liveness + flip, per try
-        + S(m) T_cond_add(1)              step 1: conditional row adds
-        + m (T_nonzero + T_full_add + 1)  step 2: reveal liveness bit
-        + m T_b2minv                      step 3: pivot inverse
-        + C(m) T_scalar_mult(1)           step 3: scale pivot row
-        + P(m) T_strong_refresh           step 4: refresh the factor
-        + S(m) T_mult_sub(1)              step 4: eliminate below
-
-with P(m) = (m^2-m)/2, C(m) = (m^2+3m)/2 and S(m) = (2m^3+3m^2+m)/6,
-the sum of i^2 for i = 1..m. The executed loops make, at the column
-with i rows left, i-1 calls on a slice of length i+1, so they run
-sum(i^2 - 1) = S(m) - m unit calls of each of cond_add and mult_sub:
-m fewer than charged (26 vs 30 at m = 4, 375 vs 385 at m = 10). The
-exact relation is measured = form - m*(T_ca(1)+T_ms(1)) ops and
-form - m*(R_ca(1)+R_ms(1)) = form - 3m*h bits, h = (n^2-n)/2 * w.
+ech_phases declares the elimination's cost once, one row per phase of
+sec_row_ech named as its T_ech term: the gadget calls and public ops of
+one step, and the step count as charged and as executed. T_ech and
+R_ech sum the charged phases, composing t_cost and r_cost alike. The
+charged count is the full-slice one: cond_add and mult_sub are charged
+S(m) unit calls, while the loops, at the column with i rows left, make
+i-1 calls on a slice of length i+1, S(m) - m in all. pipeline_slip,
+charged minus executed, is the exact gap between the pipeline form and
+a measured solve: m*(T_ca(1)+T_ms(1)) ops, m*(R_ca(1)+R_ms(1)) bits.
 
 The scheme comparison table scales ops by 1/8192 and random bits by
 1/1000. Reproducing the tabulated integers takes two charging
-conventions. First, the full-slice S(m) above: charging the executed
-S(m) - m instead moves 82 of the 93 randomness cells and all six
+conventions. First, the full-slice count above: charging the executed
+counts instead moves 82 of the 93 randomness cells and all six
 randomness anchors off the snapshot. Second, a scalar-mult variant for
 ops only: inside the table, scalar multiplication charges the refresh
 without its output copy (4n^2-2n per coefficient instead of 5n^2-3n),
-so tabulated_pipeline_ops subtracts C(m)(n^2-n) from T_ech. Randomness
-needs no further variant. PRINTED_TABLE is the frozen snapshot being
-reproduced; KNOWN_SNAPSHOT_DEVIATIONS lists the cells where the
-snapshot itself is internally inconsistent (one row duplicates the
+so tabulated_pipeline_ops subtracts n^2-n per scaled coefficient.
+Randomness needs no further variant. PRINTED_TABLE is the frozen
+snapshot being reproduced; KNOWN_SNAPSHOT_DEVIATIONS lists the cells
+where the snapshot is internally inconsistent (one row duplicates the
 randomness of a smaller parameter set) and cannot be matched.
 """
 
@@ -40,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import sub
 
 from .gf import field_new
 from .masking import (
@@ -57,6 +52,7 @@ from .masking import (
     sec_not,
     sec_or,
     strong_refresh,
+    strong_refresh_ops,
 )
 from .linalg import random_system, sec_back_sub, sec_row_ech, share_system
 from .rowops import (
@@ -124,36 +120,42 @@ def _isw_ops(n, l, w):
     return (7 * n * n - 5 * n) // 2
 
 
-def _t_row_ech(n, m, w):
-    pairs = (m * m - m) // 2
-    slices = (m * m + 3 * m) // 2
-    ssum = (2 * m ** 3 + 3 * m * m + m) // 6
-    t_nz = t_cost("sec_nonzero", n, w=w)
-    return (
-        pairs * (t_nz + 1)
-        + ssum * t_cost("sec_cond_add", n, 1)
-        + m * (t_nz + t_cost("full_add", n) + 1)
-        + m * t_cost("b2minv", n)
-        + slices * t_cost("sec_scalar_mult", n, 1)
-        + pairs * t_cost("strong_refresh", n)
-        + ssum * t_cost("sec_mult_sub", n, 1)
-    )
+def ech_phases(m: int) -> dict:
+    """phase -> (its (gadget, size) calls and public ops per step, and
+    its step count as charged and as executed)."""
+    p = (m * m - m) // 2                    # P(m): pivot tries
+    c = (m * m + 3 * m) // 2                # C(m): coefficients scaled
+    s = (2 * m ** 3 + 3 * m * m + m) // 6   # S(m): sum of i^2, i = 1..m
+    e = s - m  # with i rows left: i-1 calls on slices of length i+1
+    return {
+        "pivot_nonzero": ((("sec_nonzero", None), ("sec_not", None)), 0, p, p),
+        "cond_add": ((("sec_cond_add", 1),), 0, s, e),
+        "liveness": ((("sec_nonzero", None), ("full_add", None)), 1, m, m),
+        "b2minv": ((("b2minv", None),), 0, m, m),
+        "scaling": ((("sec_scalar_mult", 1),), 0, c, c),
+        "factor_refresh": ((("strong_refresh", None),), 0, p, p),
+        "mult_sub": ((("sec_mult_sub", 1),), 0, s, e),
+    }
 
 
-def _r_row_ech(n, m, w):
-    h = _pair_bits(n, m, w)
-    pairs = (m * m - m) // 2
-    slices = (m * m + 3 * m) // 2
-    ssum = (2 * m ** 3 + 3 * m * m + m) // 6
-    r_nz = r_cost("sec_nonzero", n, w=w)
-    return (
-        pairs * r_nz
-        + ssum * 2 * h
-        + m * (r_nz + 2 * h)
-        + slices * 2 * h
-        + pairs * h
-        + ssum * h
-    )
+def ech_phase_costs(n: int, m: int, w: int, executed: bool = False) -> dict:
+    """(ops, bits) per phase at the charged, or the executed, step counts."""
+    out = {}
+    for phase, (calls, public, charged, run) in ech_phases(m).items():
+        k = run if executed else charged
+        out[phase] = (
+            k * (sum(t_cost(g, n, l, w=w) for g, l in calls) + public),
+            k * sum(r_cost(g, n, l, w=w) for g, l in calls))
+    return out
+
+
+def _ech_total(n, m, w, executed=False):
+    return tuple(map(sum, zip(*ech_phase_costs(n, m, w, executed).values())))
+
+
+def pipeline_slip(n: int, m: int, w: int) -> tuple[int, int]:
+    """Charged minus executed (ops, bits) of one elimination."""
+    return tuple(map(sub, _ech_total(n, m, w), _ech_total(n, m, w, True)))
 
 
 def _eliminate(ctx, rows):
@@ -177,10 +179,10 @@ GADGET_SPECS = (
                t=lambda n, l, w: 4 * n - 3,
                r=lambda n, l, w: (n - 1) * w, secrets=_B),
     GadgetSpec("strong_refresh", strong_refresh, ("bool",),
-               t=lambda n, l, w: (3 * n * n - 3 * n) // 2,
-               r=_pair_bits, secrets=_B),
+               t=lambda n, l, w: strong_refresh_ops(n), r=_pair_bits,
+               secrets=_B),
     GadgetSpec("full_add", full_add, ("bool",),
-               t=lambda n, l, w: (3 * n * n - n - 2) // 2, r=_pair_bits),
+               t=lambda n, l, w: strong_refresh_ops(n) + n - 1, r=_pair_bits),
     GadgetSpec("sec_mult", sec_mult, ("bool", "bool"),
                t=_isw_ops, r=_pair_bits, secrets=_PAIRS),
     GadgetSpec("sec_and", sec_and, ("bool", "bool"),
@@ -188,8 +190,7 @@ GADGET_SPECS = (
     GadgetSpec("sec_not", sec_not, ("bit",),
                t=lambda n, l, w: 1, r=lambda n, l, w: 0),
     GadgetSpec("sec_or", sec_or, ("bool", "bool"),
-               t=lambda n, l, w: 2 * n + (7 * n * n - 5 * n) // 2 + 1,
-               r=_pair_bits),
+               t=lambda n, l, w: 2 * n + _isw_ops(n, l, w) + 1, r=_pair_bits),
     GadgetSpec("sec_nonzero", sec_nonzero, ("bool",),
                t=lambda n, l, w: nonzero_ops(n, w),
                r=lambda n, l, w: nonzero_bits(n, w), needs_w=True,
@@ -198,8 +199,8 @@ GADGET_SPECS = (
                t=lambda n, l, w: (5 * n * n - 7 * n + 4) // 2,
                r=_pair_bits, secrets=_NZ),
     GadgetSpec("b2minv", b2minv, ("nonzero",),
-               t=lambda n, l, w: (5 * n * n - 5 * n + 4) // 2,
-               r=_pair_bits, secrets=_NZ),
+               t=lambda n, l, w: t_cost("b2m", n) + n, r=_pair_bits,
+               secrets=_NZ),
     GadgetSpec("sec_cond_add", sec_cond_add, ("bit", "row", "row"),
                t=lambda n, l, w: cond_add_ops(n, l), r=cond_add_bits,
                secrets=((0, 0, 0), (1, 0, 0), (0, 5, 9), (1, 5, 9),
@@ -215,14 +216,15 @@ GADGET_SPECS = (
                         (0xF, 0xF, 0xF), (5, 0, 0xA), (8, 2, 0), (1, 0xF, 0),
                         (6, 6, 6))),
     GadgetSpec("sec_row_ech", sec_row_ech, ("system",),
-               t=_t_row_ech, r=_r_row_ech, needs_w=True),
+               t=lambda n, m, w: _ech_total(n, m, w)[0],
+               r=lambda n, m, w: _ech_total(n, m, w)[1], needs_w=True),
     GadgetSpec("sec_back_sub", sec_back_sub, ("echelon",),
-               t=lambda n, m, w: m * (3 * n * n - n - 2) // 2 + n * m * (m - 1),
-               r=lambda n, m, w: m * _pair_bits(n, m, w)),
+               t=lambda n, m, w: m * t_cost("full_add", n) + n * m * (m - 1),
+               r=lambda n, m, w: m * r_cost("full_add", n, w=w)),
     GadgetSpec("pipeline", _eliminate, ("system",),
-               t=lambda n, m, w: (_t_row_ech(n, m, w)
+               t=lambda n, m, w: (t_cost("sec_row_ech", n, m, w=w)
                                   + t_cost("sec_back_sub", n, m)),
-               r=lambda n, m, w: (_r_row_ech(n, m, w)
+               r=lambda n, m, w: (r_cost("sec_row_ech", n, m, w=w)
                                   + r_cost("sec_back_sub", n, m, w=w)),
                needs_w=True),
 )
@@ -263,8 +265,8 @@ def r_cost(gadget: str, n: int, size: int | None = None,
 
 def tabulated_pipeline_ops(n: int, m: int, w: int) -> int:
     """Pipeline ops under the table's scalar-mult charging variant."""
-    slices = (m * m + 3 * m) // 2
-    return t_cost("pipeline", n, m, w=w) - slices * (n * n - n)
+    _, _, scaled, _ = ech_phases(m)["scaling"]
+    return t_cost("pipeline", n, m, w=w) - scaled * (n * n - n)
 
 
 def _div_round(a: int, d: int) -> int:

@@ -25,7 +25,7 @@ Two conventions matter and are applied here once:
   counters are meant to be read at gadget boundaries.
 
 Untraced, strong_refresh (and full_add through it) takes its pair
-randoms from one draw_block and charges what the per-pair draws would.
+randoms from one draw_block and charges its form, strong_refresh_ops.
 
 Probing hooks. When ctx.trace is a list, gadgets append one probe value
 per unit operation that produces a share-derived wire (vector-level
@@ -179,9 +179,13 @@ def refresh(ctx: MaskingContext, x: list[int]) -> list[int]:
     return y
 
 
+def strong_refresh_ops(n: int) -> int:
+    return (3 * n * n - 3 * n) // 2
+
+
 def strong_refresh(ctx: MaskingContext, x: list[int],
                    width: int | None = None) -> list[int]:
-    """Pairwise refresh: ops 3(n^2-n)/2, bits (n^2-n)/2 * width.
+    """Pairwise refresh: one width-bit random per share pair.
 
     Untraced, the pair randoms come from one draw_block, in pair order.
     """
@@ -200,7 +204,7 @@ def strong_refresh(ctx: MaskingContext, x: list[int],
                 y[i] ^= r
                 y[j] ^= r
                 p += 1
-        c.ops += 3 * pairs
+        c.ops += strong_refresh_ops(n)
         c.rng_draws += pairs
         c.rng_bits += pairs * w
         return y

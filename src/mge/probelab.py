@@ -247,6 +247,25 @@ def _fit_secrets(spec: ProbeSpec, field: FieldSpec) -> tuple:
     return kept
 
 
+def _check_secrets(spec: ProbeSpec, field: FieldSpec, secrets: tuple,
+                   least: int) -> None:
+    """Raise ValueError unless there are at least `least` assignments,
+    each with one value per input inside that input's secret space."""
+    if len(secrets) < least:
+        raise ValueError(f"{spec.name} needs at least {least} secret "
+                         f"assignments, got {len(secrets)}: {secrets!r}")
+    arity = len(spec.kinds)
+    for sec in secrets:
+        if not isinstance(sec, (tuple, list)) or len(sec) != arity:
+            raise ValueError(f"secret assignment {sec!r} of {spec.name} "
+                             f"must hold {arity} value(s), one per input")
+        for v, kind in zip(sec, spec.kinds):
+            if v not in _secret_space(kind, field):
+                raise ValueError(
+                    f"secret assignment {sec!r} of {spec.name}: {v!r} is "
+                    f"not a {kind} secret over GF({field.q})")
+
+
 def _complete(kind: str, field: FieldSpec, value: int, head) -> list:
     # the sharing of value whose first n-1 shares are head
     acc = value
@@ -296,6 +315,7 @@ def record_trace(name: str, field: FieldSpec | None = None, n: int = 2,
         field = field_new(4)
     if secrets is None:
         secrets = _fit_secrets(spec, field)[0]
+    _check_secrets(spec, field, (secrets,), 1)
     rng = random.Random(seed)
     args = [
         _random_sharing(kind, field, n, secrets[i], rng)
@@ -327,6 +347,7 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
         field = field_new(4)
     if secrets is None:
         secrets = _fit_secrets(spec, field)
+    _check_secrets(spec, field, secrets, 2)
     schedule, labels = _tape_schedule(spec, field, n)
     domains = [
         range(1, 1 << w) if nonzero else range(1 << w)
@@ -369,8 +390,6 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
                     d[v] = d.get(v, 0) + 1
                 runs += 1
         runs_per_secret.append(runs)
-    # equal run counts keep raw histograms directly comparable
-    assert len(set(runs_per_secret)) == 1
 
     verdicts = []
     base = hists[0]

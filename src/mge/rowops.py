@@ -6,15 +6,16 @@ the XOR of the n ints is the row.
 
 The three row gadgets (conditional row addition, scaling by a
 multiplicatively shared factor, multiply-accumulate by a Boolean-shared
-factor) and row_share each have two executions of one algorithm. With a
-probe trace (ctx.trace is a list) a gadget runs coefficient by
-coefficient through the scalar gadgets of mge.masking, emitting a point
-per wire; that is the reference. Without one a kernel runs on the share
-ints: each ISW pair and refresh step is one XOR or AND over the whole
-row, GF products go through a 256-byte multiply table per factor, and
-the randoms come from one SeededTape.draw_block, sliced in the order the
-scalar path draws them. Both executions give the same shares, counters
-at the gadget boundary and final tape state.
+factor) each have two executions of one algorithm. With a probe trace
+(ctx.trace is a list) a gadget runs coefficient by coefficient through
+the scalar gadgets of mge.masking, emitting a point per wire; that is
+the reference. Without one a kernel runs on the share ints: each ISW
+pair and refresh step is one XOR or AND over the whole row, GF products
+go through a 256-byte multiply table per factor (built from the field's
+log/exp tables), and the randoms come from one SeededTape.draw_block,
+sliced in the order the scalar path draws them. Both executions give
+the same shares, counters at the gadget boundary and final tape state.
+row_share has one body on both paths; traced, it also emits its draws.
 
 Live tails (mge.linalg): a row holds the columns it has left; row_head
 reads the shares of its coefficient 0 and row_drop removes it.
@@ -84,10 +85,17 @@ def _mul_table(field, c: int) -> bytes:
     key = (field.w, field.poly, c)
     t = _MUL_TABLES.get(key)
     if t is None:
-        mul = field.mul
-        # bytes outside the field never occur in a valid row; map them to 0
-        t = _MUL_TABLES[key] = bytes([mul(c, v) for v in range(field.q)]
-                                     + [0] * (256 - field.q))
+        q = field.q
+        if c == 0:
+            t = bytes(256)
+        else:
+            # c*v = exp[log c + log v]: translate the logs of 1..q-1 by
+            # the exp table rotated to start at log c. Bytes outside the
+            # field never occur in a valid row; map them to 0.
+            lc = field._log[c]
+            rot = bytes(field._exp[lc:lc + q - 1]) + bytes(257 - q)
+            t = b"\0" + bytes(field._log[1:q]).translate(rot) + bytes(256 - q)
+        _MUL_TABLES[key] = t
     return t
 
 
@@ -122,26 +130,20 @@ def row_share(ctx: MaskingContext, values: list[int]) -> PackedRow:
     if l == 0:
         raise LengthZero("row of length 0")
     per = ctx.n - 1
-    if ctx.trace is None:
-        w = ctx.field.w
-        # per coefficient the scalar path draws shares 0..n-2 in turn
-        block = ctx.rng.draw_block(per * l, w)
-        shares = [int.from_bytes(block[i::per], "little") for i in range(per)]
-        c = ctx.counters
-        c.ops += 2 * per * l
-        c.rng_draws += per * l
-        c.rng_bits += per * l * w
-    else:
-        shares = [0] * per
+    w = ctx.field.w
+    # per coefficient, shares 0..n-2 in turn
+    block = ctx.rng.draw_block(per * l, w)
+    if ctx.trace is not None:
         for k, acc in enumerate(values):
-            sh = 8 * k
-            for i in range(per):
-                r = ctx.rand()
-                shares[i] |= r << sh
+            for i, r in enumerate(block[k * per:(k + 1) * per]):
                 acc ^= r
                 ctx.emit(r, ("rshare", "r", k, i))
             ctx.emit(acc, ("rshare", "last", k))
-        ctx.counters.ops += per * l
+    shares = [int.from_bytes(block[i::per], "little") for i in range(per)]
+    c = ctx.counters
+    c.ops += 2 * per * l
+    c.rng_draws += per * l
+    c.rng_bits += per * l * w
     last = int.from_bytes(bytes(values), "little")
     for v in shares:
         last ^= v
@@ -212,11 +214,10 @@ def _cond_add_packed(ctx, ext, x, y, l):
             s[i] ^= r
             s[j] ^= r ^ (y[i] & e[j]) ^ (y[j] & e[i])
             p += 1
-    # cond_add_ops and cond_add_bits, written out: a call costs less so
     c = ctx.counters
-    c.ops += (5 * n * n - 3 * n) * l
+    c.ops += cond_add_ops(n, l)
     c.rng_draws += size
-    c.rng_bits += size * w
+    c.rng_bits += cond_add_bits(n, l, w)
     return PackedRow(s, l)
 
 

@@ -384,6 +384,12 @@ class TestDeterminismAndSeed:
         _, out_b, _ = run(capsys, *base, "--seed", "9")
         assert out_a == out_b
 
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MGE_SEED", "abc")
+        code, out, err = run(capsys, "selftest")
+        assert code == 1 and out == ""
+        assert err == "error: MGE_SEED must be an integer, got 'abc'\n"
+
     def test_seed_position_is_flexible(self, capsys):
         _, out_a, _ = run(capsys, "--seed", "31", "solve", "--random",
                           "--count", "3", "--q", "16", "--m", "2")

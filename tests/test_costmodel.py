@@ -1,9 +1,14 @@
 """Closed-form cost model: frozen anchors, table reproduction, and
 agreement between instrumented runs and the printed formulas."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 from mge import costmodel as cm
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 H = lambda n: (n * n - n) // 2
 
@@ -230,3 +235,49 @@ class TestCounterAgreement:
             slices = (m * m + 3 * m) // 2
             assert cm.tabulated_pipeline_ops(n, m, 8) == (
                 cm.t_cost("pipeline", n, m, w=8) - slices * (n * n - n))
+
+
+class TestPhaseTable:
+    """ech_phases against perfbench's phase split, which the benchmark's
+    traced runs check every measured phase against."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(PERFBENCH))
+            yield importlib.import_module("workloads")
+
+    def test_phases_are_the_benchmark_phases_in_order(self, workloads):
+        tracer = importlib.import_module("tracer")
+        assert tuple(cm.ech_phases(4)) == tracer.PHASES[1:-1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("w", [1, 4, 8])
+    def test_executed_phases_equal_phase_terms(self, workloads, n, w):
+        for m in (*range(1, 9), 44):
+            terms = workloads.phase_terms(n, m, w)
+            run = cm.ech_phase_costs(n, m, w, executed=True)
+            assert run == {p: terms[p] for p in run}, (n, w, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("w", [1, 4, 8])
+    def test_charged_minus_executed_is_m_unit_calls(self, n, w):
+        unit = {"cond_add": "sec_cond_add", "mult_sub": "sec_mult_sub"}
+        for m in (*range(1, 9), 44):
+            charged = cm.ech_phase_costs(n, m, w)
+            run = cm.ech_phase_costs(n, m, w, executed=True)
+            for p in charged:
+                g = unit.get(p)
+                want = (0, 0) if g is None else (
+                    m * cm.t_cost(g, n, 1), m * cm.r_cost(g, n, 1, w=w))
+                got = tuple(a - b for a, b in zip(charged[p], run[p]))
+                assert got == want, (p, n, w, m)
+            assert sum(v[0] for v in charged.values()) == cm.t_cost(
+                "sec_row_ech", n, m, w=w)
+            assert sum(v[1] for v in charged.values()) == cm.r_cost(
+                "sec_row_ech", n, m, w=w)
+            assert cm.pipeline_slip(n, m, w) == (
+                sum(v[0] for v in charged.values())
+                - sum(v[0] for v in run.values()),
+                sum(v[1] for v in charged.values())
+                - sum(v[1] for v in run.values()))

@@ -118,6 +118,37 @@ class TestExhaustive:
         with pytest.raises(pl.EnumerationTooLarge):
             pl.exhaustive_first_order("sec_cond_add", field_new(8), 2, cap=10)
 
+    def test_secret_of_wrong_arity_is_rejected(self):
+        with pytest.raises(ValueError, match=r"\(1,\) of sec_mult must hold 2"):
+            pl.exhaustive_first_order("sec_mult", F4, 2,
+                                      secrets=((1, 2), (1,)))
+
+    def test_secret_outside_its_kind_is_rejected(self):
+        # a multiplicative sharing of 0 has no sharings to enumerate
+        with pytest.raises(ValueError, match=r"\(0, 1\).*not a mult secret"):
+            pl.exhaustive_first_order("sec_scalar_mult", F4, 2,
+                                      secrets=((1, 1), (0, 1)))
+
+    def test_secret_outside_the_field_is_rejected(self):
+        with pytest.raises(ValueError, match=r"\(7,\).*over GF\(4\)"):
+            pl.exhaustive_first_order("refresh", F4, 2, secrets=((7,), (1,)))
+
+    @pytest.mark.parametrize("secrets", [(), ((1,),)])
+    def test_fewer_than_two_assignments_are_rejected(self, secrets):
+        with pytest.raises(ValueError, match="at least 2 secret assignments"):
+            pl.exhaustive_first_order("refresh", F4, 2, secrets=secrets)
+
+    def test_recorded_trace_checks_its_secret(self):
+        with pytest.raises(ValueError, match=r"\(9, 9\).*over GF\(4\)"):
+            pl.record_trace("sec_mult", F4, secrets=(9, 9))
+        with pytest.raises(ValueError, match="must hold 2"):
+            pl.record_trace("sec_mult", F4, secrets=(1,))
+
+    def test_valid_explicit_secrets_run(self):
+        verdicts = pl.exhaustive_first_order("sec_scalar_mult", F4, 2,
+                                             secrets=((1, 1), (3, 2)))
+        assert verdicts and all(v.passed for v in verdicts)
+
     def test_verdict_dict_is_json_safe(self):
         verdicts = pl.exhaustive_first_order("refresh", F16, 2)
         blob = json.dumps([v.to_dict() for v in verdicts])

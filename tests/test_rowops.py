@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mge.gf import field_new
 from mge.masking import MaskingContext, b2m, bool_share, bool_unshare
+from mge.tape import SeededTape
 from mge.rowops import (
     LengthMismatch,
     LengthZero,
@@ -20,6 +21,7 @@ from mge.rowops import (
     sec_scalar_mult,
     unpack_row,
 )
+from mge import rowops
 
 F16 = field_new(4)
 F256 = field_new(8)
@@ -287,3 +289,34 @@ def test_packed_row_validation():
         sec_scalar_mult(_ctx(F16, 3), [1, 1, 1], x)
     with pytest.raises(LengthZero):
         row_share(ctx, [])
+
+
+@pytest.mark.parametrize("w", range(1, 9))
+def test_mul_tables_equal_field_products(w):
+    field = field_new(w)
+    for c in range(field.q):
+        want = bytes([field.mul(c, v) for v in range(field.q)]
+                     + [0] * (256 - field.q))
+        assert rowops._mul_table(field, c) == want, (w, c)
+
+
+@pytest.mark.parametrize("w,n,l", [(1, 2, 3), (4, 3, 5), (8, 4, 2)])
+def test_traced_row_share_emits_each_scalar_draw_and_last_share(w, n, l):
+    field = field_new(w)
+    values = [(7 * k + 3) % field.q for k in range(l)]
+    ctx = _ctx(field, n, seed=91)
+    ctx.trace, ctx.trace_labels = [], []
+    row = row_share(ctx, values)
+    scalar = SeededTape(91)
+    want, labels = [], []
+    for k, acc in enumerate(values):
+        for i in range(n - 1):
+            r = scalar.draw(w)
+            acc ^= r
+            want.append(r)
+            labels.append(("rshare", "r", k, i))
+        want.append(acc)
+        labels.append(("rshare", "last", k))
+    assert ctx.trace == want and ctx.trace_labels == labels
+    assert unpack_row(row)[-1] == [want[(k + 1) * n - 1] for k in range(l)]
+    assert ctx.rng._state == scalar._state
