@@ -122,6 +122,11 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_cost_table(cfg: argparse.Namespace) -> int:
+    orders = cfg.orders
+    if not orders or min(orders) < 2 or len(set(orders)) < len(orders):
+        print(f"--orders must list distinct share counts of at least 2, got "
+              f"{','.join(map(str, orders))!r}", file=sys.stderr)
+        return EXIT_USAGE
     if cfg.schemes == "all":
         params = cm.PARAM_SETS
     else:
@@ -133,7 +138,7 @@ def cmd_cost_table(cfg: argparse.Namespace) -> int:
         if not params:
             print(f"no parameter sets match {cfg.schemes!r}", file=sys.stderr)
             return EXIT_USAGE
-    rows = cm.cost_table(cfg.orders, params)
+    rows = cm.cost_table(orders, params)
     csv = cm.to_csv(rows)
     if cfg.out_path:
         try:
@@ -176,9 +181,6 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
         return EXIT_USAGE
     if cfg.pipeline:
         target = cfg.pipeline.replace("-", "_")
-        if target not in ("solve", "solve_unmasked"):
-            print(f"unknown pipeline {cfg.pipeline!r}", file=sys.stderr)
-            return EXIT_USAGE
         verdicts = pl.statistical_fixed_vs_random(
             target, fieldspec, cfg.n, m=cfg.m,
             samples_per_class=cfg.samples // 2,
@@ -554,8 +556,19 @@ def _resolve_seed(value) -> int:
         raise ValueError(f"MGE_SEED must be an integer, got {env!r}") from None
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would exit 2, the code this CLI gives a singular system
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mge",
         description="masked Gaussian elimination toolkit",
     )
@@ -620,8 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     try:
         ns.seed = _resolve_seed(ns.seed)
         handler = {

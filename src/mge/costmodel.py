@@ -1,10 +1,14 @@
 """The gadget table, closed-form costs, and the scheme table.
 
 GADGET_SPECS declares every gadget once: its callable, input kinds,
-closed forms and the probing lab's default secrets. The forms that a
-fast path charges are declared beside that path (mge.rowops,
-mge.masking) and referenced here; a composite's form sums its parts'.
-t_cost / r_cost return the forms in exact integer arithmetic.
+closed forms and the probing lab's default secrets. No path charges
+randomness from a form: MaskingContext charges each draw as it is
+made. Every bit form therefore lives in this table, as do the op forms
+that gadgets count as they execute. Two kinds of form are declared
+beside their code and referenced here: the row kernels' op forms
+(mge.rowops), which those kernels charge, and sec_nonzero's
+(mge.masking), which its alignment reads. A composite's form sums its
+parts'. t_cost / r_cost return the forms in exact integer arithmetic.
 
 ech_phases declares the elimination's cost once, one row per phase of
 sec_row_ech named as its T_ech term: the gadget calls and public ops of
@@ -52,16 +56,12 @@ from .masking import (
     sec_not,
     sec_or,
     strong_refresh,
-    strong_refresh_ops,
 )
 from .linalg import random_system, sec_back_sub, sec_row_ech, share_system
 from .rowops import (
-    cond_add_bits,
     cond_add_ops,
-    mult_sub_bits,
     mult_sub_ops,
     row_share,
-    scalar_mult_bits,
     scalar_mult_ops,
     sec_cond_add,
     sec_mult_sub,
@@ -179,10 +179,11 @@ GADGET_SPECS = (
                t=lambda n, l, w: 4 * n - 3,
                r=lambda n, l, w: (n - 1) * w, secrets=_B),
     GadgetSpec("strong_refresh", strong_refresh, ("bool",),
-               t=lambda n, l, w: strong_refresh_ops(n), r=_pair_bits,
+               t=lambda n, l, w: (3 * n * n - 3 * n) // 2, r=_pair_bits,
                secrets=_B),
     GadgetSpec("full_add", full_add, ("bool",),
-               t=lambda n, l, w: strong_refresh_ops(n) + n - 1, r=_pair_bits),
+               t=lambda n, l, w: t_cost("strong_refresh", n) + n - 1,
+               r=_pair_bits),
     GadgetSpec("sec_mult", sec_mult, ("bool", "bool"),
                t=_isw_ops, r=_pair_bits, secrets=_PAIRS),
     GadgetSpec("sec_and", sec_and, ("bool", "bool"),
@@ -202,16 +203,20 @@ GADGET_SPECS = (
                t=lambda n, l, w: t_cost("b2m", n) + n, r=_pair_bits,
                secrets=_NZ),
     GadgetSpec("sec_cond_add", sec_cond_add, ("bit", "row", "row"),
-               t=lambda n, l, w: cond_add_ops(n, l), r=cond_add_bits,
+               t=lambda n, l, w: cond_add_ops(n, l),
+               r=lambda n, l, w: l * (r_cost("sec_and", n, w=w)
+                                      + r_cost("strong_refresh", n, w=w)),
                secrets=((0, 0, 0), (1, 0, 0), (0, 5, 9), (1, 5, 9),
                         (1, 0xF, 0xF), (0, 1, 0xF), (1, 0, 7), (1, 1, 1),
                         (0, 0xA, 3))),
     GadgetSpec("sec_scalar_mult", sec_scalar_mult, ("mult", "row"),
-               t=lambda n, l, w: scalar_mult_ops(n, l), r=scalar_mult_bits,
+               t=lambda n, l, w: scalar_mult_ops(n, l),
+               r=lambda n, l, w: l * n * r_cost("refresh", n, w=w),
                secrets=((1, 0), (1, 5), (2, 0), (2, 9), (0xF, 0xF), (3, 1),
                         (7, 0xA), (5, 5))),
     GadgetSpec("sec_mult_sub", sec_mult_sub, ("bool", "row", "row"),
-               t=lambda n, l, w: mult_sub_ops(n, l), r=mult_sub_bits,
+               t=lambda n, l, w: mult_sub_ops(n, l),
+               r=lambda n, l, w: l * r_cost("sec_mult", n, w=w),
                secrets=((0, 0, 0), (1, 1, 1), (0, 5, 9), (2, 7, 3),
                         (0xF, 0xF, 0xF), (5, 0, 0xA), (8, 2, 0), (1, 0xF, 0),
                         (6, 6, 6))),

@@ -12,20 +12,24 @@ would have left, so equal _state means equal draws from there on.
 
 Cost accounting. Counters charge abstract unit operations the way the
 closed forms in mge.costmodel count them: field ops, w-bit logical ops,
-charged share copies, and one op per charged RNG draw. After any single
-gadget call the (ops, rng_bits) deltas equal the closed forms exactly.
-Two conventions matter and are applied here once:
+charged share copies, and one op per charged RNG draw. Draws are
+charged only here, in MaskingContext: rand and rand_nonzero for one
+value, rand_block for a block, each charging the draws and bits it
+reads; every gadget counts its own ops. After any single gadget call
+the (ops, rng_bits) deltas equal the closed forms exactly. Two
+conventions matter and are applied here once:
 
 * multiplicative-share draws inside b2m are randomness but not ops;
-* sec_nonzero executes on the width padded to a power of two, then
-  aligns its op and bit totals to the closed form (which counts levels
-  as ceil(log2(w+1))) when it returns; untraced, it folds the shares
-  packed one per byte of an int, by a plan cached per (n, w), and
-  charges the closed form once. Alignment can subtract a few bits, so
-  counters are meant to be read at gadget boundaries.
+* sec_nonzero executes on the width padded to a power of two and,
+  traced or packed, counts what its fold executes; on return it adds
+  the alignment to the closed form (which counts levels as
+  ceil(log2(w+1))) that its plan, cached per (n, w), holds. Alignment
+  can subtract a few bits, so counters are meant to be read at gadget
+  boundaries.
 
-Untraced, strong_refresh (and full_add through it) takes its pair
-randoms from one draw_block and charges its form, strong_refresh_ops.
+The forms of nonzero_ops and nonzero_bits live here, beside that
+alignment; every other form lives in mge.costmodel's table or, for the
+op counts that the row kernels charge, in mge.rowops.
 
 Probing hooks. When ctx.trace is a list, gadgets append one probe value
 per unit operation that produces a share-derived wire (vector-level
@@ -100,6 +104,17 @@ class MaskingContext:
         c.rng_bits += w
         c.ops += 1
         return v
+
+    def rand_block(self, count: int, width: int | None = None) -> bytes:
+        """The next count draws, one byte each: count draws and
+        count*width bits are charged, no ops (each gadget counts its own).
+        """
+        w = self.field.w if width is None else width
+        block = self.rng.draw_block(count, w)
+        c = self.counters
+        c.rng_draws += count
+        c.rng_bits += count * w
+        return block
 
     def rand_nonzero(self, width: int | None = None) -> int:
         """Uniform nonzero draw; randomness is counted, the op is not."""
@@ -179,24 +194,19 @@ def refresh(ctx: MaskingContext, x: list[int]) -> list[int]:
     return y
 
 
-def strong_refresh_ops(n: int) -> int:
-    return (3 * n * n - 3 * n) // 2
-
-
 def strong_refresh(ctx: MaskingContext, x: list[int],
                    width: int | None = None) -> list[int]:
-    """Pairwise refresh: one width-bit random per share pair.
+    """Pairwise refresh: one width-bit random per share pair, in pair
+    order; 3 ops per pair (the draw and two XORs).
 
-    Untraced, the pair randoms come from one draw_block, in pair order.
+    Untraced, the pair randoms come from one block. Traced, each is one
+    draw, which costs less than a block on the short pair counts of
+    probing runs.
     """
-    c = ctx.counters
     n = ctx.n
     y = list(x)  # copy not charged
-    tr = ctx.trace
-    if tr is None:
-        w = ctx.field.w if width is None else width
-        pairs = (n * n - n) >> 1
-        rs = ctx.rng.draw_block(pairs, w)
+    if ctx.trace is None:
+        rs = ctx.rand_block((n * n - n) >> 1, width)
         p = 0
         for i in range(n - 1):
             for j in range(i + 1, n):
@@ -204,10 +214,9 @@ def strong_refresh(ctx: MaskingContext, x: list[int],
                 y[i] ^= r
                 y[j] ^= r
                 p += 1
-        c.ops += strong_refresh_ops(n)
-        c.rng_draws += pairs
-        c.rng_bits += pairs * w
+        ctx.counters.ops += 3 * p
         return y
+    c = ctx.counters
     ctx.emit(y[0], ("sref", "cp"))
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -329,7 +338,8 @@ def _ceil_log2(v: int) -> int:
 
 
 # The closed forms of sec_nonzero count L = ceil(log2(w+1)) fold levels;
-# both executions charge them, and mge.costmodel tabulates them.
+# both executions align their totals to them, and mge.costmodel
+# tabulates them.
 
 
 def nonzero_ops(n: int, w: int) -> int:
@@ -345,52 +355,44 @@ def nonzero_bits(n: int, w: int) -> int:
 def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Shared bit (x != 0) by OR-folding halves of the padded width.
 
-    Executes on the width padded to the next power of two; op and bit
-    totals are aligned to the closed form on return. With a probe trace
-    each level runs strong_refresh and sec_or, the reference; without
-    one the same fold runs inline on the shares packed into one int and
-    charges the closed form once.
+    Both executions run the fold of the plan for (n, w) on the width
+    padded to the next power of two and count what they execute; the
+    plan's alignment to the closed form is added on return. With a
+    probe trace each level runs strong_refresh and sec_or, the
+    reference; without one the same fold runs inline on the shares
+    packed into one int.
     """
     n = ctx.n
     w = ctx.field.w
+    plan = _NONZERO_PLANS.get((n, w)) or _nonzero_plan(n, w)
+    align_ops, align_bits, run_ops, levels, spreads, shifts = plan
     c = ctx.counters
     if ctx.trace is None:
-        plan = _NONZERO_PLANS.get((n, w)) or _nonzero_plan(n, w)
-        ops, draws, bits, levels, spreads, shifts = plan
-        t = _nonzero_packed(ctx.rng, int.from_bytes(bytes(x), "little"),
+        t = _nonzero_packed(ctx, int.from_bytes(bytes(x), "little"),
                             levels, spreads, shifts, n)
-        c.ops += ops
-        c.rng_draws += draws
-        c.rng_bits += bits
-        return t
-    padded = 1 << (w - 1).bit_length() if w > 1 else 1
-    levels = (padded - 1).bit_length()
-    t = list(x)
-    c.ops += n  # working copy is charged
-    ctx.emit(t[0], ("snz", "cp"))
-    width = padded
-    while width > 1:
-        half = width >> 1
-        mask = (1 << half) - 1
-        hi = [(v >> half) & mask for v in t]
-        lo = [v & mask for v in t]
-        ctx.emit(hi[0], ("snz", "hi", width))
-        ctx.emit(lo[0], ("snz", "lo", width))
-        hi = strong_refresh(ctx, hi, width=half)
-        t = sec_or(ctx, hi, lo, width=half)
-        width = half
-    ctx.emit(t[0], ("snz", "bit"))
-    # align to the closed form
-    c.ops += nonzero_ops(n, w) - (n + levels * (5 * n * n - 2 * n + 1))
-    c.rng_bits += nonzero_bits(n, w) - (n * n - n) * (padded - 1)
+        c.ops += run_ops
+    else:
+        t = list(x)
+        c.ops += n  # working copy is charged
+        ctx.emit(t[0], ("snz", "cp"))
+        for half, _, ones in levels:
+            hi = [(v >> half) & ones for v in t]
+            lo = [v & ones for v in t]
+            ctx.emit(hi[0], ("snz", "hi", 2 * half))
+            ctx.emit(lo[0], ("snz", "lo", 2 * half))
+            hi = strong_refresh(ctx, hi, width=half)
+            t = sec_or(ctx, hi, lo, width=half)
+        ctx.emit(t[0], ("snz", "bit"))
+    c.ops += align_ops
+    c.rng_bits += align_bits
     return t
 
 
-# (n, w) -> what an untraced sec_nonzero needs: the closed-form ops, the
-# draws and the closed-form bits it charges; per fold level the half
-# width, its mask in every share's byte and in share 0's; per share pair
-# (i, j) the int with bytes i and j set to 1; the shifts 8d that line
-# share i + d up with share i, d = 1..n-1.
+# (n, w) -> the fold of sec_nonzero: the ops and bits that align what it
+# executes to the closed form, and the ops an untraced fold executes; per
+# fold level the half width, its mask in every share's byte and in share
+# 0's; per share pair (i, j) the int with bytes i and j set to 1; the
+# shifts 8d that line share i + d up with share i, d = 1..n-1.
 _NONZERO_PLANS: dict = {}
 
 
@@ -405,20 +407,23 @@ def _nonzero_plan(n, w):
         half >>= 1
     spreads = tuple((1 << 8 * i) | (1 << 8 * j)
                     for i in range(n - 1) for j in range(i + 1, n))
+    # per level a strong_refresh and a sec_or, after the charged copy
+    run_ops = n + len(levels) * (5 * n * n - 2 * n + 1)
     plan = _NONZERO_PLANS[n, w] = (
-        nonzero_ops(n, w), len(levels) * (n * n - n), nonzero_bits(n, w),
-        tuple(levels), spreads, tuple(range(8, 8 * n, 8)))
+        nonzero_ops(n, w) - run_ops,
+        nonzero_bits(n, w) - (n * n - n) * (padded - 1),
+        run_ops, tuple(levels), spreads, tuple(range(8, 8 * n, 8)))
     return plan
 
 
-def _nonzero_packed(rng, t, levels, spreads, shifts, n):
+def _nonzero_packed(ctx, t, levels, spreads, shifts, n):
     # share i of every wire is byte i of one int. Per level the scalar
     # path draws the strong_refresh randoms, then those of sec_or's
     # sec_and, one per pair each, all half bits wide; r * spread XORs a
     # pair's random into both of its shares.
     pairs = len(spreads)
     for half, mask, ones in levels:
-        rs = rng.draw_block(2 * pairs, half)
+        rs = ctx.rand_block(2 * pairs, half)
         hi = (t >> half) & mask
         lo = t & mask
         for r, s in zip(rs, spreads):

@@ -12,10 +12,14 @@ the scalar gadgets of mge.masking, emitting a point per wire; that is
 the reference. Without one a kernel runs on the share ints: each ISW
 pair and refresh step is one XOR or AND over the whole row, GF products
 go through a 256-byte multiply table per factor (built from the field's
-log/exp tables), and the randoms come from one SeededTape.draw_block,
+log/exp tables), and the randoms come from one MaskingContext.rand_block,
 sliced in the order the scalar path draws them. Both executions give
 the same shares, counters at the gadget boundary and final tape state.
 row_share has one body on both paths; traced, it also emits its draws.
+
+Charging. rand_block charges the draws and bits of every block, so the
+kernels charge only their ops, by the op forms declared here; the bit
+forms live in mge.costmodel's table, which no path charges from.
 
 Live tails (mge.linalg): a row holds the columns it has left; row_head
 reads the shares of its coefficient 0 and row_drop removes it.
@@ -99,29 +103,21 @@ def _mul_table(field, c: int) -> bytes:
     return t
 
 
-# Closed forms of the row gadgets for n shares, row length l and w-bit
-# coefficients: the packed paths charge them, and the scalar paths'
-# executed counts equal them; mge.costmodel tabulates them.
+# Op forms of the row gadgets for n shares and row length l: the packed
+# paths charge them, and the scalar paths' executed counts equal them;
+# mge.costmodel tabulates them beside the bit forms.
 
 
 def cond_add_ops(n: int, l: int) -> int:
     return (5 * n * n - 3 * n) * l
 
 
-def cond_add_bits(n: int, l: int, w: int) -> int:
-    return (n * n - n) * l * w
-
-
 # scaling charges per coefficient what conditional addition does
-scalar_mult_ops, scalar_mult_bits = cond_add_ops, cond_add_bits
+scalar_mult_ops = cond_add_ops
 
 
 def mult_sub_ops(n: int, l: int) -> int:
     return (7 * n * n - 3 * n) // 2 * l
-
-
-def mult_sub_bits(n: int, l: int, w: int) -> int:
-    return (n * n - n) // 2 * l * w
 
 
 def row_share(ctx: MaskingContext, values: list[int]) -> PackedRow:
@@ -129,10 +125,13 @@ def row_share(ctx: MaskingContext, values: list[int]) -> PackedRow:
     l = len(values)
     if l == 0:
         raise LengthZero("row of length 0")
+    q = ctx.field.q
+    for k, v in enumerate(values):
+        if not 0 <= v < q:
+            raise ValueError(f"coefficient {k} is {v!r}, outside [0, {q})")
     per = ctx.n - 1
-    w = ctx.field.w
     # per coefficient, shares 0..n-2 in turn
-    block = ctx.rng.draw_block(per * l, w)
+    block = ctx.rand_block(per * l)
     if ctx.trace is not None:
         for k, acc in enumerate(values):
             for i, r in enumerate(block[k * per:(k + 1) * per]):
@@ -140,10 +139,7 @@ def row_share(ctx: MaskingContext, values: list[int]) -> PackedRow:
                 ctx.emit(r, ("rshare", "r", k, i))
             ctx.emit(acc, ("rshare", "last", k))
     shares = [int.from_bytes(block[i::per], "little") for i in range(per)]
-    c = ctx.counters
-    c.ops += 2 * per * l
-    c.rng_draws += per * l
-    c.rng_bits += per * l * w
+    ctx.counters.ops += 2 * per * l
     last = int.from_bytes(bytes(values), "little")
     for v in shares:
         last ^= v
@@ -197,11 +193,9 @@ def _cond_add_packed(ctx, ext, x, y, l):
     # and from P + p. Both land on shares i and j of the pair, and XOR is
     # associative, so one pass over the pairs applies them together.
     n = ctx.n
-    w = ctx.field.w
     pairs = (n * n - n) // 2
     span = 2 * pairs
-    size = span * l
-    block = ctx.rng.draw_block(size, w)
+    block = ctx.rand_block(span * l)
     lanes = _LANES.get(l) or _LANES.setdefault(
         l, int.from_bytes(b"\x01" * l, "little"))
     e = [v * lanes for v in ext]
@@ -214,10 +208,7 @@ def _cond_add_packed(ctx, ext, x, y, l):
             s[i] ^= r
             s[j] ^= r ^ (y[i] & e[j]) ^ (y[j] & e[i])
             p += 1
-    c = ctx.counters
-    c.ops += cond_add_ops(n, l)
-    c.rng_draws += size
-    c.rng_bits += cond_add_bits(n, l, w)
+    ctx.counters.ops += cond_add_ops(n, l)
     return PackedRow(s, l)
 
 
@@ -252,10 +243,9 @@ def _scalar_mult_packed(ctx, p, x, l):
     # per factor share, then per coefficient, refresh draws n-1 randoms
     n = ctx.n
     field = ctx.field
-    w = field.w
     per = n - 1
     stride = per * l
-    block = ctx.rng.draw_block(n * stride, w)
+    block = ctx.rand_block(n * stride)
     v = x
     for j in range(n):
         tab = _mul_table(field, p[j])
@@ -266,10 +256,7 @@ def _scalar_mult_packed(ctx, p, x, l):
             r = int.from_bytes(block[base + i - 1:base + stride:per], "little")
             v[0] ^= r
             v[i] ^= r
-    c = ctx.counters
-    c.ops += scalar_mult_ops(n, l)
-    c.rng_draws += n * stride
-    c.rng_bits += scalar_mult_bits(n, l, w)
+    ctx.counters.ops += scalar_mult_ops(n, l)
     return PackedRow(v, l)
 
 
@@ -297,9 +284,8 @@ def _mult_sub_packed(ctx, factor, row, base, l):
     # sec_mult draws one random per pair, pairs in order, per coefficient
     n = ctx.n
     field = ctx.field
-    w = field.w
     pairs = (n * n - n) // 2
-    block = ctx.rng.draw_block(pairs * l, w)
+    block = ctx.rand_block(pairs * l)
     # one translate per factor share covers every row share: slot b of
     # wide[a], 8l bits wide, is factor share a times row share b
     cat = b"".join([v.to_bytes(l, "little") for v in row])
@@ -317,8 +303,5 @@ def _mult_sub_packed(ctx, factor, row, base, l):
             z[j] ^= r ^ (((wide[i] >> (bits * j))
                           ^ (wide[j] >> (bits * i))) & lane)
             p += 1
-    c = ctx.counters
-    c.ops += mult_sub_ops(n, l)
-    c.rng_draws += pairs * l
-    c.rng_bits += mult_sub_bits(n, l, w)
+    ctx.counters.ops += mult_sub_ops(n, l)
     return PackedRow(z, l)

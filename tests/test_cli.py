@@ -171,6 +171,15 @@ class TestCostTable:
         code, _, err = run(capsys, "cost-table", "--schemes", "kyber")
         assert code == 1 and "kyber" in err
 
+    @pytest.mark.parametrize("orders", [",", "2,2", "1", "3,1"])
+    def test_orders_not_distinct_counts_of_two_or_more_exit_1(self, capsys,
+                                                              orders):
+        # "," printed a header-only CSV, "2,2" every row twice
+        code, out, err = run(capsys, "cost-table", "--orders", orders,
+                             "--verify")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--orders" in err
+
     def test_label_selection(self, capsys):
         code, out, _ = run(capsys, "cost-table", "--schemes", "mayo-i",
                            "--orders", "2,3")
@@ -396,3 +405,27 @@ class TestDeterminismAndSeed:
         _, out_b, _ = run(capsys, "solve", "--random", "--count", "3",
                           "--q", "16", "--m", "2", "--seed", "31")
         assert out_a == out_b
+
+
+class TestUsageErrors:
+    # argparse exits 2, which this CLI keeps for a singular system
+    @pytest.mark.parametrize("argv, named", [
+        (("bench",), "--param"),
+        (("--seed", "abc", "selftest"), "--seed"),
+        (("frobnicate",), "frobnicate"),
+        (("leakcheck", "--mode", "foo"), "--mode"),
+        (("leakcheck", "--pipeline", "foo"), "--pipeline"),
+    ], ids=["bench-no-param", "bad-seed", "unknown-command", "bad-mode",
+            "bad-pipeline"])
+    def test_rejected_command_line_exits_1(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("usage: mge")
+        assert "error: " in err and named in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("bench", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mge")

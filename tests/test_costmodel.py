@@ -2,11 +2,15 @@
 agreement between instrumented runs and the printed formulas."""
 
 import importlib
+import random
 from pathlib import Path
 
 import pytest
 
 from mge import costmodel as cm
+from mge.gf import field_new
+from mge.linalg import masked_solve, random_system
+from mge.masking import DomainTape, MaskingContext
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -235,6 +239,58 @@ class TestCounterAgreement:
             slices = (m * m + 3 * m) // 2
             assert cm.tabulated_pipeline_ops(n, m, 8) == (
                 cm.t_cost("pipeline", n, m, w=8) - slices * (n * n - n))
+
+
+def _nonzero_alignment_bits(n, w):
+    # sec_nonzero runs its fold on w padded to a power of two
+    padded = 1 << (w - 1).bit_length()
+    return cm.r_cost("sec_nonzero", n, w=w) - (n * n - n) * (padded - 1)
+
+
+class TestEveryDrawCharged:
+    """Counters against the draws a DomainTape records: one charged draw
+    per draw, and its width in bits, plus sec_nonzero's alignment."""
+
+    @staticmethod
+    def _check(ctx, tape, nonzero_calls):
+        n, w = ctx.n, ctx.field.w
+        assert ctx.counters.rng_draws == len(tape.schedule)
+        assert ctx.counters.rng_bits == (
+            sum(width for width, _ in tape.schedule)
+            + nonzero_calls * _nonzero_alignment_bits(n, w))
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("w", [1, 4, 8])
+    def test_unit_and_row_gadgets(self, w, n, traced):
+        for spec in cm.GADGET_SPECS:
+            if spec.sized and "row" not in spec.kinds:
+                continue
+            for size in ((1, 3) if spec.sized else (None,)):
+                tape = DomainTape()
+                ctx = MaskingContext(field_new(w), n, tape=tape)
+                rng = random.Random(n)
+                args = [cm._random_input(ctx, rng, kind, size)
+                        for kind in spec.kinds]
+                if traced:
+                    ctx.trace = []
+                spec.fn(ctx, *args)
+                self._check(ctx, tape, spec.name == "sec_nonzero")
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("w", [1, 4, 8])
+    def test_solve(self, w, n, traced):
+        m = 3
+        field = field_new(w)
+        tape = DomainTape()
+        ctx = MaskingContext(field, n, tape=tape)
+        if traced:
+            ctx.trace = []
+        out = masked_solve(ctx, random_system(field, m, random.Random(w + n)))
+        assert not out.singular
+        # P(m) pivot tests and m liveness tests
+        self._check(ctx, tape, (m * m - m) // 2 + m)
 
 
 class TestPhaseTable:

@@ -47,6 +47,19 @@ class TestRowSharing:
         with pytest.raises(LengthZero):
             row_share(_ctx(F16, 2), [])
 
+    @pytest.mark.parametrize("values, k, v", [
+        ([16, 200, 3], 0, 16), ([3, 300, 1], 1, 300), ([1, 2, -1], 2, -1)])
+    def test_coefficient_outside_field_rejected_before_any_draw(self, values,
+                                                                k, v):
+        # GF(16): 16 and 200 used to be shared as bytes outside the field
+        ctx = _ctx(F16, 3)
+        state = ctx.rng._state
+        with pytest.raises(ValueError,
+                           match=rf"coefficient {k} is {v}, outside \[0, 16\)"):
+            row_share(ctx, values)
+        assert ctx.rng._state == state
+        assert ctx.counters.snapshot() == (0, 0, 0)
+
     def test_charges_per_coefficient(self):
         ctx = _ctx(F256, 3)
         row_share(ctx, [1, 2, 3, 4])
