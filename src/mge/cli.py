@@ -122,11 +122,6 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_cost_table(cfg: argparse.Namespace) -> int:
-    orders = cfg.orders
-    if not orders or min(orders) < 2 or len(set(orders)) < len(orders):
-        print(f"--orders must list distinct share counts of at least 2, got "
-              f"{','.join(map(str, orders))!r}", file=sys.stderr)
-        return EXIT_USAGE
     if cfg.schemes == "all":
         params = cm.PARAM_SETS
     else:
@@ -138,7 +133,7 @@ def cmd_cost_table(cfg: argparse.Namespace) -> int:
         if not params:
             print(f"no parameter sets match {cfg.schemes!r}", file=sys.stderr)
             return EXIT_USAGE
-    rows = cm.cost_table(orders, params)
+    rows = cm.cost_table(cfg.orders, params)
     csv = cm.to_csv(rows)
     if cfg.out_path:
         try:
@@ -235,10 +230,6 @@ def _check_solved(out, path: str) -> None:
 def cmd_bench(cfg: argparse.Namespace) -> int:
     if cfg.iters < 1:
         print(f"--iters must be at least 1, got {cfg.iters}", file=sys.stderr)
-        return EXIT_USAGE
-    if not cfg.shares or min(cfg.shares) < 2:
-        print(f"--shares must list share counts of at least 2, got "
-              f"{','.join(map(str, cfg.shares))!r}", file=sys.stderr)
         return EXIT_USAGE
     param = cm.PRESETS.get(cfg.param or "")
     if param is None:
@@ -540,8 +531,25 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _integer(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+
+
+def _share_counts(text: str) -> tuple:
+    """A non-empty comma list of distinct share counts, each at least 2."""
+    try:
+        counts = tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+    if not counts or min(counts) < 2 or len(set(counts)) < len(counts):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct share counts of at least 2, got {text!r}")
+    return counts
 
 
 def _resolve_seed(value) -> int:
@@ -572,12 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mge",
         description="masked Gaussian elimination toolkit",
     )
-    ap.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+    ap.add_argument("--seed", type=_integer, default=None,
                     help="RNG seed (default: MGE_SEED env, else fixed)")
     # The same flag is accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=lambda s: int(s, 0),
+    common.add_argument("--seed", type=_integer,
                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -598,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost-table", parents=[common], help="scheme comparison CSV")
     p.add_argument("--schemes", default="all",
                    help="all, or comma list of families/preset labels")
-    p.add_argument("--orders", type=_int_list, default=(2, 3, 4))
+    p.add_argument("--orders", type=_share_counts, default=(2, 3, 4))
     p.add_argument("--out", dest="out_path")
     p.add_argument("--verify", action="store_true",
                    help="diff scaled cells against the embedded snapshot")
@@ -619,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common], help="time masked vs reference solving")
     p.add_argument("--param", required=True, help="preset label, e.g. uov-ip")
-    p.add_argument("--shares", type=_int_list, default=(2,))
+    p.add_argument("--shares", type=_share_counts, default=(2,))
     p.add_argument("--iters", type=int, default=5)
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-time fields (deterministic output)")

@@ -38,7 +38,10 @@ duplicates an input wire already visible upstream). When
 ctx.trace_labels is also a list, a stable label tuple is appended per
 point; point sequences are data-independent, so one labeled run fixes
 point identities for a whole campaign. Labels whose second entry starts
-with "pub" mark sanctioned public outputs.
+with "pub" mark sanctioned public outputs. Only traced executions emit,
+so the probing checks (acceptance criteria 5 and 6, mge leakcheck)
+cover the traced scalar path alone; the untraced fold of sec_nonzero
+holds all n shares in one int, and no check probes it.
 """
 
 from __future__ import annotations
@@ -449,9 +452,10 @@ def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
 
     ops (5n^2-7n+4)/2, draws (n^2-n)/2, bits (n^2-n)/2 w. The n-1
     multiplicative-share draws are randomness but not charged ops.
+    A sharing of zero raises ZeroSharing after its draws and ops: share
+    0 of the result is x times every m_j, zero exactly when x is, so the
+    input is never recombined.
     """
-    if bool_unshare(x) == 0:
-        raise ZeroSharing("b2m input encodes zero")
     n = ctx.n
     field = ctx.field
     mul = field.mul
@@ -494,6 +498,8 @@ def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
         c.ops += 1
         if tr is not None:
             ctx.emit(m[j], ("b2m", "inv", j))
+    if m1 == 0:
+        raise ZeroSharing("b2m input encodes zero")
     m[0] = m1
     return m
 

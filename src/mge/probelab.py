@@ -12,9 +12,9 @@ by the checkers.
 
 Two checking modes:
 
-* exhaustive: enumerate every input sharing and every randomness tape,
-  build the exact per-point value distribution for each secret, and
-  demand identical distributions across secrets. This is the real
+* exhaustive: run every input sharing on every randomness tape, count
+  each point's values per secret (the exact per-point distribution),
+  and demand identical counts across secrets. This is the real
   first-order probing condition, feasible for one-coefficient gadgets
   on small fields.
 
@@ -32,7 +32,9 @@ sec_nonzero_broken collapses its input into a single wire first.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,19 +295,6 @@ def _random_secret(kind: str, field: FieldSpec, rng) -> int:
     return rng.choice(_secret_space(kind, field))
 
 
-def _tape_schedule(spec: ProbeSpec, field: FieldSpec, n: int):
-    """Draw schedule plus point labels from one instrumented run."""
-    tape = DomainTape()
-    first = _fit_secrets(spec, field)[0]
-    args = [
-        _sharings(kind, field, n, first[i])[0]
-        for i, kind in enumerate(spec.kinds)
-    ]
-    _, labels = _masked_trace(MaskingContext(field, n, tape=tape), True,
-                              spec.run, *args)
-    return tape.schedule, labels
-
-
 def record_trace(name: str, field: FieldSpec | None = None, n: int = 2,
                  secrets: tuple | None = None,
                  seed: int = DEFAULT_SEED) -> ProbeTrace:
@@ -317,17 +306,14 @@ def record_trace(name: str, field: FieldSpec | None = None, n: int = 2,
         secrets = _fit_secrets(spec, field)[0]
     _check_secrets(spec, field, (secrets,), 1)
     rng = random.Random(seed)
-    args = [
-        _random_sharing(kind, field, n, secrets[i], rng)
-        for i, kind in enumerate(spec.kinds)
-    ]
-    values, labels = _masked_trace(MaskingContext(field, n, seed=seed), True,
-                                   spec.run, *args)
-    return ProbeTrace(
-        ids=tuple(label_id(l) for l in labels),
-        labels=tuple(labels),
-        values=tuple(values),
-    )
+    args = [_random_sharing(kind, field, n, v, rng)
+            for kind, v in zip(spec.kinds, secrets)]
+    ctx = MaskingContext(field, n, seed=seed)
+    ctx.trace, ctx.trace_labels = [], []
+    spec.run(ctx, *args)
+    labels = tuple(ctx.trace_labels)
+    return ProbeTrace(ids=tuple(map(label_id, labels)), labels=labels,
+                      values=tuple(ctx.trace))
 
 
 # ------------------------------------------------------------- exhaustive
@@ -339,8 +325,8 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
     """Exact per-point value distributions across secrets must coincide.
 
     Enumerates every input sharing and every tape assignment for every
-    secret. Raises EnumerationTooLarge when the run count would exceed
-    the cap.
+    secret, counting each (point, value) pair per secret. Raises
+    EnumerationTooLarge when the run count would exceed the cap.
     """
     spec = lookup(name)
     if field is None:
@@ -348,74 +334,46 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
     if secrets is None:
         secrets = _fit_secrets(spec, field)
     _check_secrets(spec, field, secrets, 2)
-    schedule, labels = _tape_schedule(spec, field, n)
-    domains = [
-        range(1, 1 << w) if nonzero else range(1 << w)
-        for (w, nonzero) in schedule
-    ]
-    tapes = list(itertools.product(*domains))
+    inputs = [[_sharings(kind, field, n, v) for kind, v in zip(spec.kinds, sec)]
+              for sec in secrets]
+    # one run on a recording tape fixes the draw schedule and the points,
+    # both independent of the data
+    ctx = MaskingContext(field, n, tape=DomainTape())
+    ctx.trace, ctx.trace_labels = [], []
+    spec.run(ctx, *(sharings[0] for sharings in inputs[0]))
+    labels = ctx.trace_labels
+    domains = [range(nonzero, 1 << w) for w, nonzero in ctx.rng.schedule]
+    ntapes = math.prod(map(len, domains))
+    runs = [ntapes * math.prod(map(len, sets)) for sets in inputs]
+    if sum(runs) > cap:
+        raise EnumerationTooLarge(f"{sum(runs)} runs exceed cap {cap}")
+    tapes = [bytes(t) for t in itertools.product(*domains)]
 
-    per_secret_inputs = []
-    total = 0
-    for sec in secrets:
-        input_sets = [
-            _sharings(kind, field, n, sec[i])
-            for i, kind in enumerate(spec.kinds)
-        ]
-        combos = 1
-        for s in input_sets:
-            combos *= len(s)
-        total += combos * len(tapes)
-        per_secret_inputs.append(input_sets)
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} runs exceed cap {cap}")
-
-    npoints = len(labels)
-    hists = [[{} for _ in range(npoints)] for _ in secrets]
-    runs_per_secret = []
-    replay = ReplayTape([])
-    for si, input_sets in enumerate(per_secret_inputs):
-        h = hists[si]
-        runs = 0
-        for args in itertools.product(*input_sets):
-            for tape_vals in tapes:
-                replay.rewind(tape_vals)
-                ctx = MaskingContext(field, n, tape=replay)
-                trace = []
-                ctx.trace = trace
+    replay = ReplayTape(b"")
+    ctx = MaskingContext(field, n, tape=replay)
+    hists = []
+    for sets in inputs:
+        counts = Counter()
+        for args in itertools.product(*sets):
+            for tape in tapes:
+                replay.rewind(tape)
+                ctx.trace = trace = []
                 spec.run(ctx, *args)
-                for idx in range(npoints):
-                    v = trace[idx]
-                    d = h[idx]
-                    d[v] = d.get(v, 0) + 1
-                runs += 1
-        runs_per_secret.append(runs)
+                counts.update(enumerate(trace))
+        hists.append(counts)
 
-    verdicts = []
+    # per further secret and point: the summed count gaps to the first
     base = hists[0]
-    for idx in range(npoints):
-        if is_public(labels[idx]):
-            continue
-        same = all(hists[si][idx] == base[idx] for si in range(1, len(secrets)))
-        stat = 0.0
-        if not same:
-            # report the largest total-variation distance to the first secret
-            runs = runs_per_secret[0]
-            for si in range(1, len(secrets)):
-                keys = set(base[idx]) | set(hists[si][idx])
-                tv = sum(
-                    abs(base[idx].get(k, 0) - hists[si][idx].get(k, 0))
-                    for k in keys
-                ) / (2 * runs)
-                stat = max(stat, tv)
-        verdicts.append(LeakVerdict(
-            point_id=label_id(labels[idx]),
-            mode="exhaustive",
-            statistic=stat,
-            samples=sum(runs_per_secret),
-            passed=same,
-        ))
-    return verdicts
+    gaps = [[0] * len(labels) for _ in hists[1:]]
+    for gap, counts in zip(gaps, hists[1:]):
+        for key in base.keys() | counts.keys():
+            gap[key[0]] += abs(base[key] - counts[key])
+    # the statistic is the largest total-variation distance to the first
+    return [LeakVerdict(point_id=label_id(label), mode="exhaustive",
+                        statistic=max(g[idx] for g in gaps) / (2 * runs[0]),
+                        samples=sum(runs),
+                        passed=not any(g[idx] for g in gaps))
+            for idx, label in enumerate(labels) if not is_public(label)]
 
 
 # ------------------------------------------------------------- statistical
@@ -481,34 +439,39 @@ def statistical_fixed_vs_random(target: str, field: FieldSpec | None = None,
 
     if target in ("solve", "solve_unmasked"):
         fixed_sys = random_system(field, m, rng)
+        run = masked_solve
 
-        def labeled_run():
-            return _solve_trace(target, field, n, fixed_sys, campaign,
-                                want_labels=True)
-
-        def run(fixed: bool):
-            sysm = fixed_sys if fixed else random_system(field, m, rng)
-            return _solve_trace(target, field, n, sysm, campaign)
+        def inputs(fixed: bool):
+            return (fixed_sys if fixed else random_system(field, m, rng),)
     else:
         spec = lookup(target)
         fixed_secret = _fit_secrets(spec, field)[0]
+        run = spec.run
 
-        def labeled_run():
-            return _gadget_trace(spec, field, n, fixed_secret, rng, campaign,
-                                 want_labels=True)
+        def inputs(fixed: bool):
+            sec = fixed_secret if fixed else [
+                _random_secret(kind, field, rng) for kind in spec.kinds]
+            return [_random_sharing(kind, field, n, v, rng)
+                    for kind, v in zip(spec.kinds, sec)]
 
-        def run(fixed: bool):
-            sec = fixed_secret if fixed else tuple(
-                _random_secret(kind, field, rng) for kind in spec.kinds)
-            return _gadget_trace(spec, field, n, sec, rng, campaign)
+    def traced(args, labels=None):
+        # one run's probe values; a labels list gets its point labels
+        trace = []
+        if target == "solve_unmasked":
+            gaussian_elimination(*args, trace=trace, trace_labels=labels)
+        else:
+            ctx = MaskingContext(field, n, tape=campaign.spawn())
+            ctx.trace, ctx.trace_labels = trace, labels
+            run(ctx, *args)
+        return trace
 
-    _, labels = labeled_run()
-    npoints = len(labels)
-    acc_fixed = _MomentAccumulator(npoints)
-    acc_rand = _MomentAccumulator(npoints)
+    labels = []
+    traced(inputs(True), labels)
+    acc_fixed = _MomentAccumulator(len(labels))
+    acc_rand = _MomentAccumulator(len(labels))
     for _ in range(samples_per_class):
-        acc_fixed.add(run(True))
-        acc_rand.add(run(False))
+        acc_fixed.add(traced(inputs(True)))
+        acc_rand.add(traced(inputs(False)))
 
     mf, vf, m2f, v2f = acc_fixed.moments()
     mr, vr, m2r, v2r = acc_rand.moments()
@@ -516,48 +479,9 @@ def statistical_fixed_vs_random(target: str, field: FieldSpec | None = None,
     t1 = np.abs(_welch(mf, vf, nf, mr, vr, nr))
     t2 = np.abs(_welch(m2f, v2f, nf, m2r, v2r, nr))
     stat = np.maximum(t1, t2)
-
-    verdicts = []
-    for idx in range(npoints):
-        if is_public(labels[idx]):
-            continue
-        s = float(stat[idx])
-        verdicts.append(LeakVerdict(
-            point_id=label_id(labels[idx]),
-            mode="statistical",
-            statistic=s,
-            samples=nf + nr,
-            passed=s < threshold,
-        ))
-    return verdicts
-
-
-def _gadget_trace(spec, field, n, secret, rng, campaign, want_labels=False):
-    args = [
-        _random_sharing(kind, field, n, secret[i], rng)
-        for i, kind in enumerate(spec.kinds)
-    ]
-    return _masked_trace(MaskingContext(field, n, tape=campaign.spawn()),
-                         want_labels, spec.run, *args)
-
-
-def _solve_trace(target, field, n, sysm, campaign, want_labels=False):
-    if target == "solve":
-        return _masked_trace(MaskingContext(field, n, tape=campaign.spawn()),
-                             want_labels, masked_solve, sysm)
-    trace = []
-    labels = [] if want_labels else None
-    gaussian_elimination(sysm, trace=trace, trace_labels=labels)
-    return (trace, labels) if want_labels else trace
-
-
-def _masked_trace(ctx, want_labels, run, *args):
-    """run(ctx, *args) under a probe trace: its values, and its labels."""
-    ctx.trace = []
-    if want_labels:
-        ctx.trace_labels = []
-    run(ctx, *args)
-    return (ctx.trace, list(ctx.trace_labels)) if want_labels else ctx.trace
+    return [LeakVerdict(point_id=label_id(label), mode="statistical",
+                        statistic=s, samples=nf + nr, passed=s < threshold)
+            for label, s in zip(labels, stat.tolist()) if not is_public(label)]
 
 
 def leak_summary(verdicts: list[LeakVerdict]) -> dict:

@@ -15,6 +15,10 @@ go through a 256-byte multiply table per factor (built from the field's
 log/exp tables), and the randoms come from one MaskingContext.rand_block,
 sliced in the order the scalar path draws them. Both executions give
 the same shares, counters at the gadget boundary and final tape state.
+Only the traced path emits probe points, so the probing checks
+(acceptance criteria 5 and 6, mge leakcheck) cover it alone; a
+kernel's ints and bytes can hold several shares of one value, and no
+check probes them.
 row_share has one body on both paths; traced, it also emits its draws.
 
 Charging. rand_block charges the draws and bits of every block, so the
@@ -299,9 +303,10 @@ def _mult_sub_packed(ctx, factor, row, base, l):
         for j in range(i + 1, n):
             r = int.from_bytes(block[p::pairs], "little")
             z[i] ^= r
-            # factor share i times row share j, plus j times i
-            z[j] ^= r ^ (((wide[i] >> (bits * j))
-                          ^ (wide[j] >> (bits * i))) & lane)
+            # r plus factor share i times row share j, then plus j times
+            # i: r is added first, as in masking._isw
+            z[j] ^= ((r ^ ((wide[i] >> (bits * j)) & lane))
+                     ^ ((wide[j] >> (bits * i)) & lane))
             p += 1
     ctx.counters.ops += mult_sub_ops(n, l)
     return PackedRow(z, l)

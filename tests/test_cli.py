@@ -298,6 +298,18 @@ class TestBench:
         assert code == cli.EXIT_USAGE
         assert out == "" and "--shares" in err
 
+    def test_repeated_share_count_is_a_usage_error(self, capsys,
+                                                   monkeypatch):
+        # "2,2" ran the n = 2 solves twice and exited 0
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the share counts were checked")
+
+        monkeypatch.setattr(cli, "gaussian_elimination", no_solve)
+        code, out, err = run(capsys, "bench", "--param", "uov-ip",
+                             "--shares", "2,2", "--iters", "1")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--shares" in err and "distinct" in err
+
     def test_one_iteration_solves_once_per_path(self, capsys, monkeypatch):
         calls = []
         for name in ("gaussian_elimination", "masked_solve"):
@@ -422,6 +434,18 @@ class TestUsageErrors:
         assert code == cli.EXIT_USAGE
         assert out == "" and err.startswith("usage: mge")
         assert "error: " in err and named in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--seed", "abc", "selftest"),
+        ("selftest", "--seed", "abc"),
+        ("cost-table", "--orders", "x"),
+    ], ids=["seed-first", "seed-after", "orders"])
+    def test_non_integer_message_says_an_integer_is_expected(self, capsys,
+                                                             argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "integer" in err
+        assert "<lambda>" not in err and "_int_list" not in err
 
     @pytest.mark.parametrize("argv", [("--help",), ("bench", "--help")])
     def test_help_exits_0(self, capsys, argv):

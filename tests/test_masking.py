@@ -12,7 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mge import tape as tape_mod
+from mge import masking, tape as tape_mod
 from mge.gf import field_new
 from mge.masking import (
     DEFAULT_SEED,
@@ -441,6 +441,22 @@ class TestGadgetSemantics:
         ctx = MaskingContext(F16, 2, seed=1)
         with pytest.raises(ZeroSharing):
             b2m(ctx, bool_share(ctx, 0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_b2m_never_recombines_its_input(self, monkeypatch, n):
+        # the zero test reads share 0 of the result, x times every m_j,
+        # so the unmasked input never sits on a wire
+        def recombined(shares):
+            raise AssertionError("b2m recombined its input")
+
+        monkeypatch.setattr(masking, "bool_unshare", recombined)
+        ctx = MaskingContext(F16, n, seed=0x5A)
+        for v in range(1, 16):
+            assert mult_unshare(F16, b2m(ctx, bool_share(ctx, v))) == v
+            got = mult_unshare(F16, b2minv(ctx, bool_share(ctx, v)))
+            assert got == F16.inv(v)
+        with pytest.raises(ZeroSharing):
+            b2minv(ctx, bool_share(ctx, 0))
 
     def test_zero_rejection_holds_under_optimize_flag(self):
         # assert statements vanish under -O; this check must not

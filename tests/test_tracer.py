@@ -47,3 +47,31 @@ def test_tracer_contexts_wrap_and_restore(monkeypatch):
     assert (linalg.masked_solve, probelab.sec_cond_add,
             dict(probelab.REGISTRY)) == originals
     assert tracer.counts["gf.mul"] > 0 and tracer.counts["masking.emit"] > 0
+
+
+def test_tracer_sees_every_campaign_solve_and_system(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    acc = probelab._MomentAccumulator
+    names = ("masked_solve", "random_system", "_welch",
+             "exhaustive_first_order", "sec_cond_add", "sec_scalar_mult",
+             "sec_mult_sub", "sec_mult", "sec_nonzero")
+
+    def patch_points():
+        return ([getattr(probelab, name) for name in names],
+                acc.__dict__["add"], acc.__dict__["moments"],
+                linalg.masked_solve, dict(probelab.REGISTRY))
+
+    originals = patch_points()
+    samples = 3
+    with tracer.timed():
+        verdicts = probelab.statistical_fixed_vs_random(
+            "solve", m=2, samples_per_class=samples)
+    assert patch_points() == originals
+    assert all(v.samples == 2 * samples for v in verdicts)
+    # the labelled solve and both classes' solves; the fixed system and
+    # one fresh system per random-class trace
+    assert tracer.calls["probelab.traced_solve"] == 2 * samples + 1
+    assert tracer.calls["probelab.sysgen"] == samples + 1
+    # one add per trace, moments and _welch twice each
+    assert tracer.calls["probelab.moments"] == 2 * samples + 4
