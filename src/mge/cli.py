@@ -78,9 +78,9 @@ def _parse_system(path: str) -> LinearSystem:
 
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
-    if cfg.in_path:
+    if cfg.in_path is not None:
         systems = [_parse_system(cfg.in_path)]
-    elif cfg.random:
+    else:
         if cfg.count < 1:
             print(f"--count must be at least 1, got {cfg.count}",
                   file=sys.stderr)
@@ -89,9 +89,6 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
         rng = random.Random(cfg.seed)
         systems = [random_system(fieldspec, cfg.m, rng, invertible=False)
                    for _ in range(cfg.count)]
-    else:
-        print("solve needs --in FILE or --random", file=sys.stderr)
-        return EXIT_USAGE
 
     # one child tape per system: no two systems share mask randomness
     tapes = SeededTape(cfg.seed)
@@ -181,7 +178,7 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
             samples_per_class=cfg.samples // 2,
             threshold=cfg.threshold, seed=cfg.seed)
         label = target
-    elif cfg.gadget:
+    else:
         try:
             spec = pl.lookup(cfg.gadget)
         except pl.UnknownGadget:
@@ -195,9 +192,6 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
                 samples_per_class=cfg.samples // 2,
                 threshold=cfg.threshold, seed=cfg.seed)
         label = spec.name
-    else:
-        print("leakcheck needs --gadget or --pipeline", file=sys.stderr)
-        return EXIT_USAGE
 
     summary = pl.leak_summary(verdicts)
     report = {
@@ -250,12 +244,14 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
         _check_solved(out, "reference")
     unmasked_ms = 1000 * statistics.median(unmasked_times)
 
+    # one child tape per solve: no two solves share mask randomness
+    tapes = SeededTape(cfg.seed)
     prev_ops = -1
     for n in cfg.shares:
         times = []
         ctx = None
-        for i in range(cfg.iters):
-            ctx = MaskingContext(fieldspec, n, seed=cfg.seed + i)
+        for _ in range(cfg.iters):
+            ctx = MaskingContext(fieldspec, n, tape=tapes.spawn())
             t0 = time.perf_counter()
             out = masked_solve(ctx, sysm)
             times.append(time.perf_counter() - t0)
@@ -540,7 +536,8 @@ def _integer(text: str) -> int:
 
 
 def _share_counts(text: str) -> tuple:
-    """A non-empty comma list of distinct share counts, each at least 2."""
+    """A non-empty comma list of distinct share counts, each at least 2,
+    in ascending order."""
     try:
         counts = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
@@ -549,7 +546,7 @@ def _share_counts(text: str) -> tuple:
     if not counts or min(counts) < 2 or len(set(counts)) < len(counts):
         raise argparse.ArgumentTypeError(
             f"expected distinct share counts of at least 2, got {text!r}")
-    return counts
+    return tuple(sorted(counts))
 
 
 def _resolve_seed(value) -> int:
@@ -591,8 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common],
                        help="solve one system or a random batch")
-    p.add_argument("--in", dest="in_path", help="JSON {q, m, A, b}")
-    p.add_argument("--random", action="store_true",
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--in", dest="in_path", help="JSON {q, m, A, b}")
+    g.add_argument("--random", action="store_true",
                    help="solve --count random systems instead of a file")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--q", type=int, default=16)
@@ -612,11 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="diff scaled cells against the embedded snapshot")
 
     p = sub.add_parser("leakcheck", parents=[common], help="probing-model leakage checks")
-    p.add_argument("--gadget", help="registry gadget name")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--gadget", help="registry gadget name")
+    g.add_argument("--pipeline", choices=("solve", "solve-unmasked"),
+                   help="statistical fixed-vs-random on the full solver")
     p.add_argument("--mode", choices=("exhaustive", "statistical"),
                    default="exhaustive")
-    p.add_argument("--pipeline", choices=("solve", "solve-unmasked"),
-                   help="statistical fixed-vs-random on the full solver")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--samples", type=int, default=20000,
                    help="total trace count, split between the two classes")

@@ -2,9 +2,10 @@
 
 GADGET_SPECS declares every gadget once: its callable, input kinds,
 closed forms and the probing lab's default secrets. No path charges
-randomness from a form: MaskingContext charges each draw as it is
-made. Every bit form therefore lives in this table, as do the op forms
-that gadgets count as they execute. Two kinds of form are declared
+randomness from a form: MaskingContext charges each draw and its bits
+as it is made, and each gadget counts every op it executes, one per
+uniform draw included. Every bit form therefore lives in this table, as
+do the op forms that gadgets count as they execute. Two kinds of form are declared
 beside their code and referenced here: the row kernels' op forms
 (mge.rowops), which those kernels charge, and sec_nonzero's
 (mge.masking), which its alignment reads. A composite's form sums its

@@ -12,24 +12,25 @@ would have left, so equal _state means equal draws from there on.
 
 Cost accounting. Counters charge abstract unit operations the way the
 closed forms in mge.costmodel count them: field ops, w-bit logical ops,
-charged share copies, and one op per charged RNG draw. Draws are
-charged only here, in MaskingContext: rand and rand_nonzero for one
-value, rand_block for a block, each charging the draws and bits it
-reads; every gadget counts its own ops. After any single gadget call
-the (ops, rng_bits) deltas equal the closed forms exactly. Two
-conventions matter and are applied here once:
-
-* multiplicative-share draws inside b2m are randomness but not ops;
-* sec_nonzero executes on the width padded to a power of two and,
-  traced or packed, counts what its fold executes; on return it adds
-  the alignment to the closed form (which counts levels as
-  ceil(log2(w+1))) that its plan, cached per (n, w), holds. Alignment
-  can subtract a few bits, so counters are meant to be read at gadget
-  boundaries.
+charged share copies, and one op per uniform draw. The MaskingContext
+charges draws and bits only, as it makes them: rand and rand_nonzero
+for one value, rand_block for a block. Every gadget counts every op it
+executes, its draws included (b2m's docstring says which of its draws
+are not ops). After any single gadget call the (ops, rng_bits) deltas
+equal the closed forms exactly. sec_nonzero executes on the width
+padded to a power of two and, traced or packed, counts what its fold
+executes; on return it adds the alignment to the closed form (which
+counts levels as ceil(log2(w+1))) that its plan, cached per (n, w),
+holds. Alignment can subtract a few bits, so counters are meant to be
+read at gadget boundaries.
 
 The forms of nonzero_ops and nonzero_bits live here, beside that
 alignment; every other form lives in mge.costmodel's table or, for the
 op counts that the row kernels charge, in mge.rowops.
+
+Pair order. The pairwise gadgets (strong_refresh, the ISW products,
+sec_nonzero's fold and the row kernels) draw one random per share pair,
+in the order share_pairs(n) lists them.
 
 Probing hooks. When ctx.trace is a list, gadgets append one probe value
 per unit operation that produces a share-derived wire (vector-level
@@ -46,6 +47,8 @@ holds all n shares in one int, and no check probes it.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations
 from operator import and_
 
 from .gf import FieldSpec
@@ -99,19 +102,17 @@ class MaskingContext:
         self.trace_labels = None
 
     def rand(self, width: int | None = None) -> int:
-        """Charged uniform draw: one op plus width random bits."""
+        """Uniform draw: one draw and width bits are charged."""
         w = self.field.w if width is None else width
         v = self.rng.draw(w)
         c = self.counters
         c.rng_draws += 1
         c.rng_bits += w
-        c.ops += 1
         return v
 
     def rand_block(self, count: int, width: int | None = None) -> bytes:
         """The next count draws, one byte each: count draws and
-        count*width bits are charged, no ops (each gadget counts its own).
-        """
+        count*width bits are charged."""
         w = self.field.w if width is None else width
         block = self.rng.draw_block(count, w)
         c = self.counters
@@ -120,7 +121,7 @@ class MaskingContext:
         return block
 
     def rand_nonzero(self, width: int | None = None) -> int:
-        """Uniform nonzero draw; randomness is counted, the op is not."""
+        """Uniform nonzero draw: one draw and width bits are charged."""
         w = self.field.w if width is None else width
         v = self.rng.draw_nonzero(w)
         c = self.counters
@@ -138,6 +139,12 @@ class MaskingContext:
 # ---------------------------------------------------------------- sharing
 
 
+@cache
+def share_pairs(n: int) -> tuple:
+    """The share pairs (i, j), i < j, in pair-random draw order."""
+    return tuple(combinations(range(n), 2))
+
+
 def bool_share(ctx: MaskingContext, x: int) -> list[int]:
     """Split x into n XOR shares: n-1 draws, last share closes the sum."""
     if not 0 <= x < ctx.field.q:
@@ -152,7 +159,7 @@ def bool_share(ctx: MaskingContext, x: int) -> list[int]:
         if ctx.trace is not None:
             ctx.emit(r, ("bshare", "r", i))
     s[n - 1] = acc
-    ctx.counters.ops += n - 1
+    ctx.counters.ops += 2 * (n - 1)  # a draw and an XOR per share
     if ctx.trace is not None:
         ctx.emit(acc, ("bshare", "last"))
     return s
@@ -189,7 +196,7 @@ def refresh(ctx: MaskingContext, x: list[int]) -> list[int]:
         r = ctx.rand()
         y[0] ^= r
         y[i] ^= r
-        c.ops += 2
+        c.ops += 3
         if tr is not None:
             ctx.emit(r, ("refresh", "r", i))
             ctx.emit(y[0], ("refresh", "y0", i))
@@ -203,33 +210,26 @@ def strong_refresh(ctx: MaskingContext, x: list[int],
     order; 3 ops per pair (the draw and two XORs).
 
     Untraced, the pair randoms come from one block. Traced, each is one
-    draw, which costs less than a block on the short pair counts of
-    probing runs.
+    draw made as its pair is reached, which costs less than a block on
+    the short pair counts of probing runs.
     """
-    n = ctx.n
     y = list(x)  # copy not charged
-    if ctx.trace is None:
-        rs = ctx.rand_block((n * n - n) >> 1, width)
-        p = 0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                r = rs[p]
-                y[i] ^= r
-                y[j] ^= r
-                p += 1
-        ctx.counters.ops += 3 * p
-        return y
-    c = ctx.counters
-    ctx.emit(y[0], ("sref", "cp"))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            r = ctx.rand(width)
-            y[i] ^= r
-            y[j] ^= r
-            c.ops += 2
+    pairs = share_pairs(ctx.n)
+    tr = ctx.trace
+    if tr is None:
+        rs = ctx.rand_block(len(pairs), width)
+    else:
+        rs = None
+        ctx.emit(y[0], ("sref", "cp"))
+    for p, (i, j) in enumerate(pairs):
+        r = ctx.rand(width) if rs is None else rs[p]
+        y[i] ^= r
+        y[j] ^= r
+        if tr is not None:
             ctx.emit(r, ("sref", "r", i, j))
             ctx.emit(y[i], ("sref", "yi", i, j))
             ctx.emit(y[j], ("sref", "yj", i, j))
+    ctx.counters.ops += 3 * len(pairs)
     return y
 
 
@@ -265,24 +265,23 @@ def _isw(ctx: MaskingContext, x: list[int], y: list[int], prod, tag: str,
         if tr is not None:
             ctx.emit(z[i], (tag, "pp", i, i))
     c.ops += n
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            r = ctx.rand(width)
-            p = prod(x[i], y[j])
-            u = r ^ p
-            q = prod(x[j], y[i])
-            t = u ^ q  # ordering matters: (r + x_i y_j) + x_j y_i
-            z[i] ^= r
-            z[j] ^= t
-            c.ops += 6
-            if tr is not None:
-                ctx.emit(r, (tag, "r", i, j))
-                ctx.emit(p, (tag, "pp", i, j))
-                ctx.emit(u, (tag, "u", i, j))
-                ctx.emit(q, (tag, "pp", j, i))
-                ctx.emit(t, (tag, "t", i, j))
-                ctx.emit(z[i], (tag, "zi", i, j))
-                ctx.emit(z[j], (tag, "zj", i, j))
+    for i, j in share_pairs(n):
+        r = ctx.rand(width)
+        p = prod(x[i], y[j])
+        u = r ^ p
+        q = prod(x[j], y[i])
+        t = u ^ q  # ordering matters: (r + x_i y_j) + x_j y_i
+        z[i] ^= r
+        z[j] ^= t
+        c.ops += 7  # the draw, two products and four XORs
+        if tr is not None:
+            ctx.emit(r, (tag, "r", i, j))
+            ctx.emit(p, (tag, "pp", i, j))
+            ctx.emit(u, (tag, "u", i, j))
+            ctx.emit(q, (tag, "pp", j, i))
+            ctx.emit(t, (tag, "t", i, j))
+            ctx.emit(z[i], (tag, "zi", i, j))
+            ctx.emit(z[j], (tag, "zj", i, j))
     return z
 
 
@@ -408,8 +407,7 @@ def _nonzero_plan(n, w):
         ones = (1 << half) - 1
         levels.append((half, ones * every, ones))
         half >>= 1
-    spreads = tuple((1 << 8 * i) | (1 << 8 * j)
-                    for i in range(n - 1) for j in range(i + 1, n))
+    spreads = tuple((1 << 8 * i) | (1 << 8 * j) for i, j in share_pairs(n))
     # per level a strong_refresh and a sec_or, after the charged copy
     run_ops = n + len(levels) * (5 * n * n - 2 * n + 1)
     plan = _NONZERO_PLANS[n, w] = (
@@ -450,8 +448,9 @@ def _nonzero_packed(ctx, t, levels, spreads, shifts, n):
 def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Boolean to multiplicative sharing. Input must encode a nonzero.
 
-    ops (5n^2-7n+4)/2, draws (n^2-n)/2, bits (n^2-n)/2 w. The n-1
-    multiplicative-share draws are randomness but not charged ops.
+    ops (5n^2-7n+4)/2, draws (n^2-n)/2, bits (n^2-n)/2 w. Like every
+    gadget it counts an op per uniform draw, except for its n-1 nonzero
+    draws of multiplicative shares: those are randomness, not ops.
     A sharing of zero raises ZeroSharing after its draws and ops: share
     0 of the result is x times every m_j, zero exactly when x is, so the
     input is never recombined.
@@ -481,7 +480,7 @@ def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
             t = p ^ r
             m1 ^= t
             xs[k] = r
-            c.ops += 4
+            c.ops += 5  # the draw, a product, two XORs and the copy
             if tr is not None:
                 ctx.emit(r, ("b2m", "r", j, k))
                 ctx.emit(p, ("b2m", "xm", j, k))

@@ -13,7 +13,8 @@ the reference. Without one a kernel runs on the share ints: each ISW
 pair and refresh step is one XOR or AND over the whole row, GF products
 go through a 256-byte multiply table per factor (built from the field's
 log/exp tables), and the randoms come from one MaskingContext.rand_block,
-sliced in the order the scalar path draws them. Both executions give
+sliced in the order the scalar path draws them: per coefficient, pair
+by pair in masking.share_pairs order. Both executions give
 the same shares, counters at the gadget boundary and final tape state.
 Only the traced path emits probe points, so the probing checks
 (acceptance criteria 5 and 6, mge leakcheck) cover it alone; a
@@ -21,8 +22,9 @@ kernel's ints and bytes can hold several shares of one value, and no
 check probes them.
 row_share has one body on both paths; traced, it also emits its draws.
 
-Charging. rand_block charges the draws and bits of every block, so the
-kernels charge only their ops, by the op forms declared here; the bit
+Charging. As everywhere, the context charges the draws and bits of
+every block and each gadget counts every op it executes, one per draw
+included: the kernels charge the op forms declared here, and the bit
 forms live in mge.costmodel's table, which no path charges from.
 
 Live tails (mge.linalg): a row holds the columns it has left; row_head
@@ -31,7 +33,8 @@ reads the shares of its coefficient 0 and row_drop removes it.
 
 from __future__ import annotations
 
-from .masking import MaskingContext, refresh, sec_and, sec_mult, strong_refresh
+from .masking import (MaskingContext, refresh, sec_and, sec_mult,
+                      share_pairs, strong_refresh)
 
 
 class PackedRow(list):
@@ -197,21 +200,19 @@ def _cond_add_packed(ctx, ext, x, y, l):
     # and from P + p. Both land on shares i and j of the pair, and XOR is
     # associative, so one pass over the pairs applies them together.
     n = ctx.n
-    pairs = (n * n - n) // 2
-    span = 2 * pairs
+    pairs = share_pairs(n)
+    npairs = len(pairs)
+    span = 2 * npairs
     block = ctx.rand_block(span * l)
     lanes = _LANES.get(l) or _LANES.setdefault(
         l, int.from_bytes(b"\x01" * l, "little"))
     e = [v * lanes for v in ext]
     s = [xi ^ (yi & ei) for xi, yi, ei in zip(x, y, e)]
-    p = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            r = (int.from_bytes(block[p::span], "little")
-                 ^ int.from_bytes(block[pairs + p::span], "little"))
-            s[i] ^= r
-            s[j] ^= r ^ (y[i] & e[j]) ^ (y[j] & e[i])
-            p += 1
+    for p, (i, j) in enumerate(pairs):
+        r = (int.from_bytes(block[p::span], "little")
+             ^ int.from_bytes(block[npairs + p::span], "little"))
+        s[i] ^= r
+        s[j] ^= r ^ (y[i] & e[j]) ^ (y[j] & e[i])
     ctx.counters.ops += cond_add_ops(n, l)
     return PackedRow(s, l)
 
@@ -288,8 +289,9 @@ def _mult_sub_packed(ctx, factor, row, base, l):
     # sec_mult draws one random per pair, pairs in order, per coefficient
     n = ctx.n
     field = ctx.field
-    pairs = (n * n - n) // 2
-    block = ctx.rand_block(pairs * l)
+    pairs = share_pairs(n)
+    npairs = len(pairs)
+    block = ctx.rand_block(npairs * l)
     # one translate per factor share covers every row share: slot b of
     # wide[a], 8l bits wide, is factor share a times row share b
     cat = b"".join([v.to_bytes(l, "little") for v in row])
@@ -298,15 +300,12 @@ def _mult_sub_packed(ctx, factor, row, base, l):
     bits = 8 * l
     lane = (1 << bits) - 1
     z = [((wide[i] >> (bits * i)) & lane) ^ base[i] for i in range(n)]
-    p = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            r = int.from_bytes(block[p::pairs], "little")
-            z[i] ^= r
-            # r plus factor share i times row share j, then plus j times
-            # i: r is added first, as in masking._isw
-            z[j] ^= ((r ^ ((wide[i] >> (bits * j)) & lane))
-                     ^ ((wide[j] >> (bits * i)) & lane))
-            p += 1
+    for p, (i, j) in enumerate(pairs):
+        r = int.from_bytes(block[p::npairs], "little")
+        z[i] ^= r
+        # r plus factor share i times row share j, then plus j times i:
+        # r is added first, as in masking._isw
+        z[j] ^= ((r ^ ((wide[i] >> (bits * j)) & lane))
+                 ^ ((wide[j] >> (bits * i)) & lane))
     ctx.counters.ops += mult_sub_ops(n, l)
     return PackedRow(z, l)

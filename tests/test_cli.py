@@ -123,6 +123,20 @@ class TestSolve:
         code, _, err = run(capsys, "solve")
         assert code == 1 and "--in" in err
 
+    def test_random_and_in_together_is_a_usage_error(self, capsys, sys_file,
+                                                     monkeypatch):
+        # --random used to be ignored when --in was given
+        def no_solve(*args, **kwargs):
+            raise AssertionError("read or solved a system")
+
+        for name in ("_parse_system", "masked_solve", "gaussian_elimination"):
+            monkeypatch.setattr(cli, name, no_solve)
+        path = sys_file({"q": 16, "m": 1, "A": [[1]], "b": [1]})
+        code, out, err = run(capsys, "solve", "--random", "--in", path)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("usage: mge solve")
+        assert "not allowed with" in err
+
     def test_zero_count_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "solve", "--random", "--count", "0")
         assert code == cli.EXIT_USAGE
@@ -197,7 +211,9 @@ class TestLeakcheck:
         assert report["target"] == "refresh"
 
     def test_gadget_name_accepts_squashed_form(self, capsys):
-        code, out, _ = run(capsys, "leakcheck", "--gadget", "seccondadd")
+        # over GF(4): criterion 5 runs the GF(16) check of this gadget
+        code, out, _ = run(capsys, "leakcheck", "--gadget", "seccondadd",
+                           "--w", "2")
         assert code == 0
         assert json.loads(out)["target"] == "sec_cond_add"
 
@@ -265,6 +281,22 @@ class TestLeakcheck:
         code, _, err = run(capsys, "leakcheck")
         assert code == 1
 
+    def test_gadget_and_pipeline_together_is_a_usage_error(self, capsys,
+                                                           monkeypatch):
+        # --gadget used to be ignored when --pipeline was given
+        from mge import probelab
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probed before the flags were checked")
+
+        for name in ("exhaustive_first_order", "statistical_fixed_vs_random"):
+            monkeypatch.setattr(probelab, name, no_probe)
+        code, out, err = run(capsys, "leakcheck", "--gadget", "refresh",
+                             "--pipeline", "solve")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("usage: mge leakcheck")
+        assert "not allowed with" in err
+
 
 class TestBench:
     def test_reports_counters_and_ratio(self, capsys):
@@ -309,6 +341,27 @@ class TestBench:
                              "--shares", "2,2", "--iters", "1")
         assert code == cli.EXIT_USAGE
         assert out == "" and "--shares" in err and "distinct" in err
+
+    def test_every_solve_draws_its_own_masks(self, capsys, monkeypatch):
+        # seeding by iteration reused iteration i's stream at every n
+        starts = []
+
+        def recorded(ctx, sysm, _fn=cli.masked_solve):
+            starts.append(ctx.rng._state)
+            return _fn(ctx, sysm)
+
+        monkeypatch.setattr(cli, "masked_solve", recorded)
+        code, _, _ = run(capsys, "bench", "--param", "mayo-i", "--shares",
+                         "2,3", "--iters", "2", "--no-timing")
+        assert code == 0
+        assert len(starts) == 4 and len(set(starts)) == 4
+
+    def test_share_counts_run_in_ascending_order(self, capsys):
+        # "3,2" printed n = 3 first and warned that ops fell with n
+        code, out, err = run(capsys, "bench", "--param", "uov-ip",
+                             "--shares", "3,2", "--iters", "1", "--no-timing")
+        assert code == 0 and err == ""
+        assert [l.split()[0] for l in out.splitlines()[1:]] == ["n=2", "n=3"]
 
     def test_one_iteration_solves_once_per_path(self, capsys, monkeypatch):
         calls = []
@@ -356,6 +409,11 @@ class TestSelftest:
         assert sum(1 for l in lines if l.startswith("suite ")) >= 8
         assert any(l.startswith("suite packed-path        ok ")
                    for l in lines)
+
+    def test_exhaustive_gf_suite(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--suite", "gf", "--exhaustive")
+        assert code == 0
+        assert "20256 products cross-checked" in out
 
     def test_suite_subset(self, capsys):
         code, out, _ = run(capsys, "selftest", "--suite",
