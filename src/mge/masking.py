@@ -41,8 +41,10 @@ point; point sequences are data-independent, so one labeled run fixes
 point identities for a whole campaign. Labels whose second entry starts
 with "pub" mark sanctioned public outputs. Only traced executions emit,
 so the probing checks (acceptance criteria 5 and 6, mge leakcheck)
-cover the traced scalar path alone; the untraced fold of sec_nonzero
-holds all n shares in one int, and no check probes it.
+cover the traced path alone: the fixed-vs-random campaigns run it on
+scalar ints, the exhaustive check on mge.probelab's lane vectors, one
+lane per run. The untraced fold of sec_nonzero holds all n shares in
+one int, and no check probes it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,18 @@ Two checking modes:
   each point's values per secret (the exact per-point distribution),
   and demand identical counts across secrets. This is the real
   first-order probing condition, feasible for one-coefficient gadgets
-  on small fields.
+  on small fields. The runs go through the traced gadget code in
+  chunks of at most LANE_CHUNK (2048): every input share and every
+  draw is a Lanes vector, a uint8 ndarray with one lane per run, and
+  the field is a LaneField whose products and inverses are numpy
+  table lookups. A Lanes vector's augmented ^=, &= and |= rebind
+  rather than write in place, as on ints, and its bool() is true when
+  any lane is: a zero test raises if one run of the chunk would.
+  Memory is bounded per chunk, whatever the run count: one int64
+  digit vector per input and per draw (16 KiB each at 2048 lanes) and
+  uint8 vectors for shares, draws and wires (2 KiB each); the counts,
+  points x q int64 per secret, are summed over the chunks, and the
+  verdicts come from them in Python ints.
 
 * statistical: fixed-vs-random sampling with Welch's t on the first
   moment and on the non-centered second moment per point (the second
@@ -34,13 +45,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import costmodel as cm
-from .gf import FieldSpec, field_new
+from .gf import FieldSpec, ZeroInverse, field_new
 from .linalg import gaussian_elimination, masked_solve, random_system
 from .masking import (
     DEFAULT_SEED,
@@ -318,15 +329,77 @@ def record_trace(name: str, field: FieldSpec | None = None, n: int = 2,
 
 # ------------------------------------------------------------- exhaustive
 
+# Runs per traced run of the exhaustive check, one lane each
+LANE_CHUNK = 2048
 
-def exhaustive_first_order(name: str, field: FieldSpec | None = None,
-                           n: int = 2, secrets: tuple | None = None,
-                           cap: int = ENUMERATION_CAP) -> list[LeakVerdict]:
-    """Exact per-point value distributions across secrets must coincide.
 
-    Enumerates every input sharing and every tape assignment for every
-    secret, counting each (point, value) pair per secret. Raises
+class Lanes(np.ndarray):
+    """One wire's values over a chunk of runs: lane k holds run k's.
+
+    Augmented ^=, &= and |= rebind the name to a new vector, as they do
+    on ints, instead of writing in place: a gadget that copies a sharing
+    with list(x) and updates a share must leave the caller's vector and
+    every value it already emitted unchanged. bool() is true when any
+    lane is, so a gadget's zero test (b2m's `if m1 == 0`) fires when
+    one run of the chunk would.
+    """
+
+    def __ixor__(self, other):
+        return NotImplemented
+
+    __iand__ = __ior__ = __ixor__
+
+    def __bool__(self):
+        return bool(self.view(np.ndarray).any())
+
+
+class LaneField:
+    """A FieldSpec's mul and inv on Lanes, by q x q and q lookup tables.
+
+    It stands in as ctx.field for the traced gadgets of a lane run;
+    field_lanes builds one per FieldSpec, on first use.
+    """
+
+    __slots__ = ("w", "q", "_mul", "_inv")
+
+    def __init__(self, field: FieldSpec):
+        self.w, self.q = field.w, field.q
+        log = np.array(field._log)
+        tab = np.array(field._exp, np.uint8)[log[:, None] + log]
+        tab[0] = tab[:, 0] = 0
+        self._mul = tab.view(Lanes)
+        self._inv = np.array(field._inv, np.uint8).view(Lanes)
+
+    def mul(self, a, b):
+        return self._mul[a, b]
+
+    def inv(self, a):
+        if not np.asarray(a).all():
+            raise ZeroInverse("0 has no multiplicative inverse")
+        return self._inv[a]
+
+
+field_lanes = cache(LaneField)
+
+
+def exhaustive_histograms(name: str, field: FieldSpec | None = None,
+                          n: int = 2, secrets: tuple | None = None,
+                          cap: int = ENUMERATION_CAP):
+    """Every point's exact value counts, per secret, over all runs.
+
+    A run is one input sharing on one tape assignment. Returns the point
+    labels (public ones included), the run count per secret, and per
+    secret an int64 array of shape (points, q) whose entry [p, v]
+    counts the runs in which point p carries v. Raises
     EnumerationTooLarge when the run count would exceed the cap.
+
+    The runs of a secret are numbered in mixed radix (a sharing index
+    per input, then a value per scheduled draw) and run LANE_CHUNK at a
+    time: each input share and each draw is a Lanes vector with one lane
+    per run, the draws replayed by a ReplayTape, the field a LaneField.
+    The traced gadget code runs once per chunk and its trace holds one
+    vector per point; one bincount per point adds the chunk to the
+    counts.
     """
     spec = lookup(name)
     if field is None:
@@ -342,32 +415,58 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
     ctx.trace, ctx.trace_labels = [], []
     spec.run(ctx, *(sharings[0] for sharings in inputs[0]))
     labels = ctx.trace_labels
-    domains = [range(nonzero, 1 << w) for w, nonzero in ctx.rng.schedule]
-    ntapes = math.prod(map(len, domains))
+    draws = [np.arange(nonzero, 1 << w, dtype=np.uint8).view(Lanes)
+             for w, nonzero in ctx.rng.schedule]
+    ntapes = math.prod(map(len, draws))
     runs = [ntapes * math.prod(map(len, sets)) for sets in inputs]
     if sum(runs) > cap:
         raise EnumerationTooLarge(f"{sum(runs)} runs exceed cap {cap}")
-    tapes = [bytes(t) for t in itertools.product(*domains)]
 
-    replay = ReplayTape(b"")
-    ctx = MaskingContext(field, n, tape=replay)
+    replay = ReplayTape(())
+    ctx = MaskingContext(field_lanes(field), n, tape=replay)
+    npoints = len(labels)
     hists = []
-    for sets in inputs:
-        counts = Counter()
-        for args in itertools.product(*sets):
-            for tape in tapes:
-                replay.rewind(tape)
-                ctx.trace = trace = []
-                spec.run(ctx, *args)
-                counts.update(enumerate(trace))
+    for sets, total in zip(inputs, runs):
+        # per input, share i of sharing s is tables[input][i][s]
+        tables = [np.array(s, np.uint8).T.copy().view(Lanes) for s in sets]
+        radices = [len(s) for s in sets] + [len(d) for d in draws]
+        counts = np.zeros((npoints, field.q), np.int64)
+        for start in range(0, total, LANE_CHUNK):
+            t = np.arange(start, min(start + LANE_CHUNK, total))
+            digits = []
+            for r in reversed(radices):
+                t, d = np.divmod(t, r)
+                digits.append(d)
+            digits.reverse()
+            replay.rewind([v[d] for v, d in zip(draws, digits[len(sets):])])
+            ctx.trace = trace = []
+            spec.run(ctx, *([share[d] for share in tab]
+                            for tab, d in zip(tables, digits)))
+            for row, v in zip(counts, trace):
+                row += np.bincount(v, minlength=field.q)
         hists.append(counts)
+    return labels, runs, hists
 
+
+def exhaustive_first_order(name: str, field: FieldSpec | None = None,
+                           n: int = 2, secrets: tuple | None = None,
+                           cap: int = ENUMERATION_CAP) -> list[LeakVerdict]:
+    """Exact per-point value distributions across secrets must coincide.
+
+    Counts each point's values over every input sharing and every tape
+    assignment, per secret, with exhaustive_histograms: the traced
+    gadget runs once per chunk of at most LANE_CHUNK (2048) runs, on
+    Lanes vectors with one lane per run (lane k of every share, draw
+    and wire belongs to run k), and bool() of a Lanes vector is true
+    when any of its lanes is. A chunk holds a few KiB per input, draw
+    and point, whatever the run count (see the module docstring). A
+    point passes when every secret's counts equal the first's. Raises
+    EnumerationTooLarge when the run count would exceed the cap.
+    """
+    labels, runs, hists = exhaustive_histograms(name, field, n, secrets, cap)
     # per further secret and point: the summed count gaps to the first
     base = hists[0]
-    gaps = [[0] * len(labels) for _ in hists[1:]]
-    for gap, counts in zip(gaps, hists[1:]):
-        for key in base.keys() | counts.keys():
-            gap[key[0]] += abs(base[key] - counts[key])
+    gaps = [np.abs(h - base).sum(axis=1).tolist() for h in hists[1:]]
     # the statistic is the largest total-variation distance to the first
     return [LeakVerdict(point_id=label_id(label), mode="exhaustive",
                         statistic=max(g[idx] for g in gaps) / (2 * runs[0]),

@@ -84,7 +84,11 @@ def row_drop(row: PackedRow) -> PackedRow:
 
 
 def _pack(shares, l: int) -> PackedRow:
-    # one coefficient sequence per share, each value a byte
+    # one coefficient sequence per share, each value a byte; a
+    # one-coefficient row takes its values as they are, which also
+    # passes the probing lab's lane vectors through
+    if l == 1:
+        return PackedRow([s for s, in shares], 1)
     return PackedRow([int.from_bytes(s, "little") for s in shares], l)
 
 

@@ -1,13 +1,18 @@
 """Probing lab: trace shapes, the exhaustive checker, its power against
 seeded broken gadgets, and the statistical mode."""
 
+import itertools
 import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from mge.gf import field_new
+from mge.gf import ZeroInverse, field_new
 from mge import probelab as pl
+from mge.masking import (DomainTape, MaskingContext, ReplayTape, ZeroSharing,
+                         b2m, refresh, strong_refresh)
 
 F16 = field_new(4)
 F4 = field_new(2)
@@ -155,6 +160,129 @@ class TestExhaustive:
         parsed = json.loads(blob)
         assert parsed[0]["mode"] == "exhaustive"
         assert parsed[0]["pass"] is True
+
+
+def scalar_histograms(name, field, n):
+    """The oracle: every input sharing on every tape as one scalar run on
+    a ReplayTape, its (point, value) pairs counted in a Counter per
+    default secret."""
+    spec = pl.lookup(name)
+    inputs = [[pl._sharings(kind, field, n, v)
+               for kind, v in zip(spec.kinds, sec)]
+              for sec in pl._fit_secrets(spec, field)]
+    ctx = MaskingContext(field, n, tape=DomainTape())
+    ctx.trace = []
+    spec.run(ctx, *(sharings[0] for sharings in inputs[0]))
+    tapes = [bytes(t) for t in itertools.product(
+        *(range(nonzero, 1 << w) for w, nonzero in ctx.rng.schedule))]
+    replay = ReplayTape(b"")
+    ctx = MaskingContext(field, n, tape=replay)
+    hists = []
+    for sets in inputs:
+        counts = Counter()
+        for args in itertools.product(*sets):
+            for tape in tapes:
+                replay.rewind(tape)
+                ctx.trace = trace = []
+                spec.run(ctx, *args)
+                counts.update(enumerate(trace))
+        hists.append(counts)
+    return hists
+
+
+def lane_histograms(name, field, n):
+    _, _, hists = pl.exhaustive_histograms(name, field, n)
+    return [Counter({(int(p), int(v)): int(h[p, v])
+                     for p, v in zip(*np.nonzero(h))}) for h in hists]
+
+
+UNIT_GADGETS = ("refresh", "strong_refresh", "sec_mult", "sec_and",
+                "sec_nonzero", "b2m", "b2minv")
+
+
+def lanes(*values):
+    return np.array(values, np.uint8).view(pl.Lanes)
+
+
+class EmitCopies(list):
+    """A probe trace that also keeps a copy of each value as emitted."""
+
+    def __init__(self):
+        super().__init__()
+        self.copies = []
+
+    def append(self, value):
+        super().append(value)
+        self.copies.append(np.copy(value))
+
+
+class TestLanes:
+    @pytest.mark.parametrize("name", pl.gadget_names())
+    def test_histograms_equal_the_scalar_loop_n2(self, name):
+        assert lane_histograms(name, F4, 2) == scalar_histograms(name, F4, 2)
+
+    @pytest.mark.parametrize("name", UNIT_GADGETS)
+    def test_histograms_equal_the_scalar_loop_n3(self, name):
+        # sec_mult and sec_and run 16384 times per secret: eight chunks
+        assert lane_histograms(name, F4, 3) == scalar_histograms(name, F4, 3)
+
+    @pytest.mark.parametrize("gadget", [refresh, strong_refresh])
+    def test_traced_refresh_keeps_inputs_and_emitted_values(self, gadget):
+        x = [lanes(0, 1, 2, 3, 3, 1), lanes(3, 3, 0, 1, 2, 2),
+             lanes(1, 0, 2, 2, 3, 0)]
+        before = [np.copy(v) for v in x]
+        draws = [lanes(1, 2, 3, 1, 2, 3), lanes(3, 3, 1, 2, 1, 2),
+                 lanes(2, 1, 1, 3, 3, 2)]
+        ctx = MaskingContext(pl.field_lanes(F4), 3, tape=ReplayTape(draws))
+        ctx.trace = EmitCopies()
+        y = gadget(ctx, x)
+        assert all((a == b).all() for a, b in zip(x, before))
+        assert all((v == c).all()
+                   for v, c in zip(ctx.trace, ctx.trace.copies))
+        assert all(isinstance(v, pl.Lanes) for v in y)
+
+    def test_reused_mask_keeps_its_lanes(self):
+        # refresh_broken's mask is the live share 0; an in-place ^= would
+        # zero it together with share 0
+        x = [lanes(1, 2, 3, 3), lanes(0, 1, 2, 3)]
+        ctx = MaskingContext(pl.field_lanes(F4), 2)
+        ctx.trace, ctx.trace_labels = EmitCopies(), []
+        pl.lookup("refresh_broken").run(ctx, x)
+        mask = ctx.trace[ctx.trace_labels.index(("refresh_broken", "r", 1))]
+        assert mask.all() and (mask == x[0]).all()
+        assert all((v == c).all()
+                   for v, c in zip(ctx.trace, ctx.trace.copies))
+
+    def test_lane_vector_is_true_when_any_lane_is(self):
+        assert lanes(0, 0, 2)
+        assert not lanes(0, 0, 0)
+        assert lanes(1, 2, 0) == 0
+
+    def test_inverse_of_a_zero_lane_raises(self):
+        lf = pl.field_lanes(F16)
+        assert lf.inv(lanes(1, 2, 15)).tolist() == [
+            F16.inv(1), F16.inv(2), F16.inv(15)]
+        with pytest.raises(ZeroInverse):
+            lf.inv(lanes(1, 0, 15))
+
+    def test_lane_products_follow_the_field(self):
+        lf = pl.field_lanes(F16)
+        a = lanes(*range(16)).repeat(16)
+        b = np.tile(lanes(*range(16)), 16)
+        assert lf.mul(a, b).tolist() == [
+            F16.mul(u, v) for u in range(16) for v in range(16)]
+
+    def test_b2m_on_a_batch_with_a_zero_lane_raises(self):
+        # lane 1 shares 3 ^ 3 = 0; the others encode nonzero values
+        x = [lanes(1, 3, 2), lanes(0, 3, 1)]
+        ctx = MaskingContext(pl.field_lanes(F4), 2,
+                             tape=ReplayTape([lanes(2, 2, 3)]))
+        ctx.trace = []
+        with pytest.raises(ZeroSharing):
+            b2m(ctx, x)
+        # with lane 1 nonzero too the same draws go through
+        ctx.rng.rewind()
+        assert len(b2m(ctx, [x[0], lanes(0, 2, 1)])) == 2
 
 
 class TestStatistical:
