@@ -81,10 +81,6 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     if cfg.in_path is not None:
         systems = [_parse_system(cfg.in_path)]
     else:
-        if cfg.count < 1:
-            print(f"--count must be at least 1, got {cfg.count}",
-                  file=sys.stderr)
-            return EXIT_USAGE
         fieldspec = _field_for_q(cfg.q)
         rng = random.Random(cfg.seed)
         systems = [random_system(fieldspec, cfg.m, rng, invertible=False)
@@ -222,9 +218,6 @@ def _check_solved(out, path: str) -> None:
 
 
 def cmd_bench(cfg: argparse.Namespace) -> int:
-    if cfg.iters < 1:
-        print(f"--iters must be at least 1, got {cfg.iters}", file=sys.stderr)
-        return EXIT_USAGE
     param = cm.PRESETS.get(cfg.param or "")
     if param is None:
         print(f"unknown preset {cfg.param!r} (see cost-table --schemes all)",
@@ -535,6 +528,17 @@ def _integer(text: str) -> int:
             f"expected an integer, got {text!r}") from None
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _share_counts(text: str) -> tuple:
     """A non-empty comma list of distinct share counts, each at least 2,
     in ascending order."""
@@ -592,9 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--in", dest="in_path", help="JSON {q, m, A, b}")
     g.add_argument("--random", action="store_true",
                    help="solve --count random systems instead of a file")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_at_least_one, default=100)
     p.add_argument("--q", type=int, default=16)
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=_at_least_one, default=4)
     p.add_argument("--shares", type=int, default=2, dest="n")
     p.add_argument("--unmasked", action="store_true",
                    help="run the reference path instead of the masked one")
@@ -616,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="statistical fixed-vs-random on the full solver")
     p.add_argument("--mode", choices=("exhaustive", "statistical"),
                    default="exhaustive")
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=_at_least_one, default=4)
     p.add_argument("--samples", type=int, default=20000,
                    help="total trace count, split between the two classes")
     p.add_argument("--threshold", type=float, default=4.5)
@@ -627,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common], help="time masked vs reference solving")
     p.add_argument("--param", required=True, help="preset label, e.g. uov-ip")
     p.add_argument("--shares", type=_share_counts, default=(2,))
-    p.add_argument("--iters", type=int, default=5)
+    p.add_argument("--iters", type=_at_least_one, default=5)
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-time fields (deterministic output)")
 

@@ -177,6 +177,8 @@ def sec_back_sub(ctx: MaskingContext, rows: list) -> list[int]:
     mul = ctx.field.mul
     c = ctx.counters
     tr = ctx.trace
+    if tr is not None:
+        put, lab = tr.append, ctx.trace_labels
     rows = [unpack_row(r) for r in rows]
     x = [0] * m
     for j in range(m - 1, -1, -1):
@@ -186,7 +188,8 @@ def sec_back_sub(ctx: MaskingContext, rows: list) -> list[int]:
             for i, s in enumerate(row):
                 s[-1] ^= mul(x[j], s[col])
                 if tr is not None:
-                    ctx.emit(s[-1], ("sbs", "upd", j, k, i))
+                    put(s[-1]) if lab is None else ctx.emit(
+                        s[-1], ("sbs", "upd", j, k, i))
             c.ops += 2 * n
     return x
 

@@ -32,14 +32,19 @@ Pair order. The pairwise gadgets (strong_refresh, the ISW products,
 sec_nonzero's fold and the row kernels) draw one random per share pair,
 in the order share_pairs(n) lists them.
 
-Probing hooks. When ctx.trace is a list, gadgets append one probe value
+Probing hooks. When ctx.trace is a list, gadgets record one probe value
 per unit operation that produces a share-derived wire (vector-level
 copies collapse to one point carrying share 0, since every copied wire
-duplicates an input wire already visible upstream). When
-ctx.trace_labels is also a list, a stable label tuple is appended per
-point; point sequences are data-independent, so one labeled run fixes
-point identities for a whole campaign. Labels whose second entry starts
-with "pub" mark sanctioned public outputs. Only traced executions emit,
+duplicates an input wire already visible upstream). Each value goes
+through the trace's append, one call per wire, never extend, so a list
+that overrides append sees every value; a gadget binds that append in
+its traced branch only, so an untraced call pays nothing for it. When
+ctx.trace_labels is also a list, a point is recorded by
+MaskingContext.emit instead, which appends the value and a stable label
+tuple; unlabelled runs build no labels. Point sequences are
+data-independent, so one labelled run fixes point identities for a
+whole campaign. Labels whose second entry starts with "pub" mark
+sanctioned public outputs. Only traced executions emit,
 so the probing checks (acceptance criteria 5 and 6, mge leakcheck)
 cover the traced path alone: the fixed-vs-random campaigns run it on
 scalar ints, the exhaustive check on mge.probelab's lane vectors, one
@@ -132,7 +137,7 @@ class MaskingContext:
         return v
 
     def emit(self, value: int, label) -> None:
-        # callers guard on ctx.trace so labels are only built when tracing
+        # a labelled point; unlabelled runs append to ctx.trace directly
         self.trace.append(value)
         if self.trace_labels is not None:
             self.trace_labels.append(label)
@@ -154,16 +159,19 @@ def bool_share(ctx: MaskingContext, x: int) -> list[int]:
     n = ctx.n
     s = [0] * n
     acc = x
+    tr = ctx.trace
+    if tr is not None:
+        put, lab = tr.append, ctx.trace_labels
     for i in range(n - 1):
         r = ctx.rand()
         s[i] = r
         acc ^= r
-        if ctx.trace is not None:
-            ctx.emit(r, ("bshare", "r", i))
+        if tr is not None:
+            put(r) if lab is None else ctx.emit(r, ("bshare", "r", i))
     s[n - 1] = acc
     ctx.counters.ops += 2 * (n - 1)  # a draw and an XOR per share
-    if ctx.trace is not None:
-        ctx.emit(acc, ("bshare", "last"))
+    if tr is not None:
+        put(acc) if lab is None else ctx.emit(acc, ("bshare", "last"))
     return s
 
 
@@ -193,16 +201,19 @@ def refresh(ctx: MaskingContext, x: list[int]) -> list[int]:
     c.ops += n  # output copy is charged by the closed form
     tr = ctx.trace
     if tr is not None:
-        ctx.emit(y[0], ("refresh", "cp"))
+        put, lab = tr.append, ctx.trace_labels
+        put(y[0]) if lab is None else ctx.emit(y[0], ("refresh", "cp"))
     for i in range(1, n):
         r = ctx.rand()
         y[0] ^= r
         y[i] ^= r
         c.ops += 3
         if tr is not None:
-            ctx.emit(r, ("refresh", "r", i))
-            ctx.emit(y[0], ("refresh", "y0", i))
-            ctx.emit(y[i], ("refresh", "yi", i))
+            put(r) if lab is None else ctx.emit(r, ("refresh", "r", i))
+            put(y[0]) if lab is None else ctx.emit(y[0],
+                                                   ("refresh", "y0", i))
+            put(y[i]) if lab is None else ctx.emit(y[i],
+                                                   ("refresh", "yi", i))
     return y
 
 
@@ -222,15 +233,18 @@ def strong_refresh(ctx: MaskingContext, x: list[int],
         rs = ctx.rand_block(len(pairs), width)
     else:
         rs = None
-        ctx.emit(y[0], ("sref", "cp"))
+        put, lab = tr.append, ctx.trace_labels
+        put(y[0]) if lab is None else ctx.emit(y[0], ("sref", "cp"))
     for p, (i, j) in enumerate(pairs):
         r = ctx.rand(width) if rs is None else rs[p]
         y[i] ^= r
         y[j] ^= r
         if tr is not None:
-            ctx.emit(r, ("sref", "r", i, j))
-            ctx.emit(y[i], ("sref", "yi", i, j))
-            ctx.emit(y[j], ("sref", "yj", i, j))
+            put(r) if lab is None else ctx.emit(r, ("sref", "r", i, j))
+            put(y[i]) if lab is None else ctx.emit(y[i],
+                                                   ("sref", "yi", i, j))
+            put(y[j]) if lab is None else ctx.emit(y[j],
+                                                   ("sref", "yj", i, j))
     ctx.counters.ops += 3 * len(pairs)
     return y
 
@@ -242,8 +256,10 @@ def full_add(ctx: MaskingContext, x: list[int]) -> int:
     for i in range(1, ctx.n):
         s ^= y[i]
     ctx.counters.ops += ctx.n - 1
-    if ctx.trace is not None:
-        ctx.emit(s, ("fadd", "pub"))
+    tr = ctx.trace
+    if tr is not None:
+        lab = ctx.trace_labels
+        tr.append(s) if lab is None else ctx.emit(s, ("fadd", "pub"))
     return s
 
 
@@ -261,11 +277,13 @@ def _isw(ctx: MaskingContext, x: list[int], y: list[int], prod, tag: str,
     n = ctx.n
     c = ctx.counters
     tr = ctx.trace
+    if tr is not None:
+        put, lab = tr.append, ctx.trace_labels
     z = [0] * n
     for i in range(n):
         z[i] = prod(x[i], y[i])
         if tr is not None:
-            ctx.emit(z[i], (tag, "pp", i, i))
+            put(z[i]) if lab is None else ctx.emit(z[i], (tag, "pp", i, i))
     c.ops += n
     for i, j in share_pairs(n):
         r = ctx.rand(width)
@@ -277,13 +295,13 @@ def _isw(ctx: MaskingContext, x: list[int], y: list[int], prod, tag: str,
         z[j] ^= t
         c.ops += 7  # the draw, two products and four XORs
         if tr is not None:
-            ctx.emit(r, (tag, "r", i, j))
-            ctx.emit(p, (tag, "pp", i, j))
-            ctx.emit(u, (tag, "u", i, j))
-            ctx.emit(q, (tag, "pp", j, i))
-            ctx.emit(t, (tag, "t", i, j))
-            ctx.emit(z[i], (tag, "zi", i, j))
-            ctx.emit(z[j], (tag, "zj", i, j))
+            put(r) if lab is None else ctx.emit(r, (tag, "r", i, j))
+            put(p) if lab is None else ctx.emit(p, (tag, "pp", i, j))
+            put(u) if lab is None else ctx.emit(u, (tag, "u", i, j))
+            put(q) if lab is None else ctx.emit(q, (tag, "pp", j, i))
+            put(t) if lab is None else ctx.emit(t, (tag, "t", i, j))
+            put(z[i]) if lab is None else ctx.emit(z[i], (tag, "zi", i, j))
+            put(z[j]) if lab is None else ctx.emit(z[j], (tag, "zj", i, j))
     return z
 
 
@@ -303,8 +321,10 @@ def sec_not(ctx: MaskingContext, x: list[int]) -> list[int]:
     y = list(x)
     y[0] ^= 1
     ctx.counters.ops += 1
-    if ctx.trace is not None:
-        ctx.emit(y[0], ("snot", "z0"))
+    tr = ctx.trace
+    if tr is not None:
+        lab = ctx.trace_labels
+        tr.append(y[0]) if lab is None else ctx.emit(y[0], ("snot", "z0"))
     return y
 
 
@@ -316,21 +336,23 @@ def sec_or(ctx: MaskingContext, x: list[int], y: list[int],
     ones = (1 << w) - 1
     c = ctx.counters
     tr = ctx.trace
+    if tr is not None:
+        put, lab = tr.append, ctx.trace_labels
     na = list(x)
     na[0] ^= ones
     c.ops += n  # copy-with-complement, charged per share
     if tr is not None:
-        ctx.emit(na[0], ("sor", "na"))
+        put(na[0]) if lab is None else ctx.emit(na[0], ("sor", "na"))
     nb = list(y)
     nb[0] ^= ones
     c.ops += n
     if tr is not None:
-        ctx.emit(nb[0], ("sor", "nb"))
+        put(nb[0]) if lab is None else ctx.emit(nb[0], ("sor", "nb"))
     z = sec_and(ctx, na, nb, width=w)
     z[0] ^= ones
     c.ops += 1
     if tr is not None:
-        ctx.emit(z[0], ("sor", "z0"))
+        put(z[0]) if lab is None else ctx.emit(z[0], ("sor", "z0"))
     return z
 
 
@@ -376,17 +398,20 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
                             levels, spreads, shifts, n)
         c.ops += run_ops
     else:
+        put, lab = ctx.trace.append, ctx.trace_labels
         t = list(x)
         c.ops += n  # working copy is charged
-        ctx.emit(t[0], ("snz", "cp"))
+        put(t[0]) if lab is None else ctx.emit(t[0], ("snz", "cp"))
         for half, _, ones in levels:
             hi = [(v >> half) & ones for v in t]
             lo = [v & ones for v in t]
-            ctx.emit(hi[0], ("snz", "hi", 2 * half))
-            ctx.emit(lo[0], ("snz", "lo", 2 * half))
+            put(hi[0]) if lab is None else ctx.emit(hi[0],
+                                                    ("snz", "hi", 2 * half))
+            put(lo[0]) if lab is None else ctx.emit(lo[0],
+                                                    ("snz", "lo", 2 * half))
             hi = strong_refresh(ctx, hi, width=half)
             t = sec_or(ctx, hi, lo, width=half)
-        ctx.emit(t[0], ("snz", "bit"))
+        put(t[0]) if lab is None else ctx.emit(t[0], ("snz", "bit"))
     c.ops += align_ops
     c.rng_bits += align_bits
     return t
@@ -467,15 +492,16 @@ def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
     m1 = xs[0]
     c.ops += 1  # seed the accumulator from share 0
     if tr is not None:
-        ctx.emit(m1, ("b2m", "cp"))
+        put, lab = tr.append, ctx.trace_labels
+        put(m1) if lab is None else ctx.emit(m1, ("b2m", "cp"))
     for j in range(1, n):
         mj = ctx.rand_nonzero()
         if tr is not None:
-            ctx.emit(mj, ("b2m", "mj", j))
+            put(mj) if lab is None else ctx.emit(mj, ("b2m", "mj", j))
         m1 = mul(m1, mj)
         c.ops += 1
         if tr is not None:
-            ctx.emit(m1, ("b2m", "acc", j))
+            put(m1) if lab is None else ctx.emit(m1, ("b2m", "acc", j))
         for k in range(1, n - j):
             r = ctx.rand()
             p = mul(mj, xs[k])
@@ -484,21 +510,21 @@ def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
             xs[k] = r
             c.ops += 5  # the draw, a product, two XORs and the copy
             if tr is not None:
-                ctx.emit(r, ("b2m", "r", j, k))
-                ctx.emit(p, ("b2m", "xm", j, k))
-                ctx.emit(t, ("b2m", "xr", j, k))
-                ctx.emit(m1, ("b2m", "m1", j, k))
-                ctx.emit(r, ("b2m", "cpr", j, k))
+                put(r) if lab is None else ctx.emit(r, ("b2m", "r", j, k))
+                put(p) if lab is None else ctx.emit(p, ("b2m", "xm", j, k))
+                put(t) if lab is None else ctx.emit(t, ("b2m", "xr", j, k))
+                put(m1) if lab is None else ctx.emit(m1, ("b2m", "m1", j, k))
+                put(r) if lab is None else ctx.emit(r, ("b2m", "cpr", j, k))
         t = mul(mj, xs[n - j])
         m1 ^= t
         c.ops += 2
         if tr is not None:
-            ctx.emit(t, ("b2m", "xt", j))
-            ctx.emit(m1, ("b2m", "mt", j))
+            put(t) if lab is None else ctx.emit(t, ("b2m", "xt", j))
+            put(m1) if lab is None else ctx.emit(m1, ("b2m", "mt", j))
         m[j] = field.inv(mj)
         c.ops += 1
         if tr is not None:
-            ctx.emit(m[j], ("b2m", "inv", j))
+            put(m[j]) if lab is None else ctx.emit(m[j], ("b2m", "inv", j))
     if m1 == 0:
         raise ZeroSharing("b2m input encodes zero")
     m[0] = m1
@@ -511,9 +537,11 @@ def b2minv(ctx: MaskingContext, x: list[int]) -> list[int]:
     inv = ctx.field.inv
     c = ctx.counters
     tr = ctx.trace
+    if tr is not None:
+        put, lab = tr.append, ctx.trace_labels
     for i in range(ctx.n):
         m[i] = inv(m[i])
         c.ops += 1
         if tr is not None:
-            ctx.emit(m[i], ("b2mi", "pinv", i))
+            put(m[i]) if lab is None else ctx.emit(m[i], ("b2mi", "pinv", i))
     return m

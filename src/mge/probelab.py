@@ -32,7 +32,10 @@ Two checking modes:
 * statistical: fixed-vs-random sampling with Welch's t on the first
   moment and on the non-centered second moment per point (the second
   moment catches equal-mean distribution splits). A point fails when
-  either |t| crosses the threshold.
+  either |t| crosses the threshold. Each class counts its points'
+  values in a points x q table, filled by one np.bincount per buffered
+  batch of traces, and its power sums come from the counts as exact
+  integers.
 
 Three deliberately broken registry entries exist for checker-power
 tests: refresh_broken reuses a live share as its mask, sec_mult_broken
@@ -165,16 +168,21 @@ def _run_refresh_reused(ctx, x):
     c.ops += n
     tr = ctx.trace
     if tr is not None:
-        ctx.emit(y[0], ("refresh_broken", "cp"))
+        put, lab = tr.append, ctx.trace_labels
+        put(y[0]) if lab is None else ctx.emit(y[0],
+                                               ("refresh_broken", "cp"))
     for i in range(1, n):
         r = y[0]  # stale mask: a live share stands in for a fresh draw
         y[0] ^= r
         y[i] ^= r
         c.ops += 2
         if tr is not None:
-            ctx.emit(r, ("refresh_broken", "r", i))
-            ctx.emit(y[0], ("refresh_broken", "y0", i))
-            ctx.emit(y[i], ("refresh_broken", "yi", i))
+            put(r) if lab is None else ctx.emit(r,
+                                                ("refresh_broken", "r", i))
+            put(y[0]) if lab is None else ctx.emit(y[0],
+                                                   ("refresh_broken", "y0", i))
+            put(y[i]) if lab is None else ctx.emit(y[i],
+                                                   ("refresh_broken", "yi", i))
     return y
 
 
@@ -183,8 +191,11 @@ def _run_nonzero_unmasked(ctx, x):
     for v in x:
         u ^= v
     ctx.counters.ops += ctx.n - 1
-    if ctx.trace is not None:
-        ctx.emit(u, ("snz_broken", "collapse"))
+    tr = ctx.trace
+    if tr is not None:
+        lab = ctx.trace_labels
+        tr.append(u) if lab is None else ctx.emit(u,
+                                                  ("snz_broken", "collapse"))
     t = [0] * ctx.n
     t[0] = u
     return sec_nonzero(ctx, t)
@@ -479,33 +490,64 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
 
 
 class _MomentAccumulator:
-    """Running first/second/fourth power sums per probe point."""
+    """Per-point value counts of one class's traces, and their moments.
 
-    __slots__ = ("count", "s1", "s2", "s4")
+    Probe values are field elements, so a trace is bytes(trace), and the
+    counts are a points x q int64 table: entry [p, v] counts the traces
+    in which point p carried v. add buffers a trace; about BATCH_BYTES
+    of them go into the table at a time, by one np.bincount. moments()
+    derives the first, second and fourth power sums per point from the
+    table: exact integers, equal to the float64 running sums of the
+    values while those are exact (below 2^53).
+    """
 
-    def __init__(self, npoints: int):
+    __slots__ = ("count", "q", "_offsets", "_table", "_pending", "_batch")
+
+    BATCH_BYTES = 1 << 14
+
+    def __init__(self, npoints: int, q: int = 256):
         self.count = 0
-        self.s1 = np.zeros(npoints)
-        self.s2 = np.zeros(npoints)
-        self.s4 = np.zeros(npoints)
+        self.q = q
+        self._offsets = np.arange(npoints, dtype=np.intp) * q
+        self._table = np.zeros(npoints * q, np.int64)
+        self._pending = []
+        self._batch = max(1, self.BATCH_BYTES // npoints)
 
     def add(self, values: list) -> None:
-        v = np.asarray(values, dtype=np.float64)
-        v2 = v * v
+        row = bytes(values)
+        if len(row) != len(self._offsets):
+            raise ValueError(f"trace of {len(row)} points, expected "
+                             f"{len(self._offsets)}")
         self.count += 1
-        self.s1 += v
-        self.s2 += v2
-        self.s4 += v2 * v2
+        pending = self._pending
+        pending.append(row)
+        if len(pending) == self._batch:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        v = np.frombuffer(b"".join(self._pending), np.uint8).reshape(
+            len(self._pending), -1)
+        self._pending.clear()
+        if v.max() >= self.q:
+            raise ValueError(f"a probe value is outside [0, {self.q})")
+        self._table += np.bincount((v + self._offsets).ravel(),
+                                   minlength=self._table.size)
 
     def moments(self):
+        self._flush()
         nsamp = self.count
         if nsamp < 2:
             raise ValueError(
                 f"sample variance needs at least 2 traces, got {nsamp}")
-        mean = self.s1 / nsamp
-        var = np.maximum(self.s2 / nsamp - mean * mean, 0.0) * nsamp / (nsamp - 1)
-        mean2 = self.s2 / nsamp
-        var2 = np.maximum(self.s4 / nsamp - mean2 * mean2, 0.0) * nsamp / (nsamp - 1)
+        counts = self._table.reshape(-1, self.q)
+        v = np.arange(self.q, dtype=np.int64)
+        s1, s2, s4 = ((counts @ v ** k).astype(np.float64) for k in (1, 2, 4))
+        mean = s1 / nsamp
+        var = np.maximum(s2 / nsamp - mean * mean, 0.0) * nsamp / (nsamp - 1)
+        mean2 = s2 / nsamp
+        var2 = np.maximum(s4 / nsamp - mean2 * mean2, 0.0) * nsamp / (nsamp - 1)
         return mean, var, mean2, var2
 
 
@@ -566,8 +608,8 @@ def statistical_fixed_vs_random(target: str, field: FieldSpec | None = None,
 
     labels = []
     traced(inputs(True), labels)
-    acc_fixed = _MomentAccumulator(len(labels))
-    acc_rand = _MomentAccumulator(len(labels))
+    acc_fixed = _MomentAccumulator(len(labels), field.q)
+    acc_rand = _MomentAccumulator(len(labels), field.q)
     for _ in range(samples_per_class):
         acc_fixed.add(traced(inputs(True)))
         acc_rand.add(traced(inputs(False)))

@@ -144,11 +144,12 @@ def row_share(ctx: MaskingContext, values: list[int]) -> PackedRow:
     # per coefficient, shares 0..n-2 in turn
     block = ctx.rand_block(per * l)
     if ctx.trace is not None:
+        put, lab = ctx.trace.append, ctx.trace_labels
         for k, acc in enumerate(values):
             for i, r in enumerate(block[k * per:(k + 1) * per]):
                 acc ^= r
-                ctx.emit(r, ("rshare", "r", k, i))
-            ctx.emit(acc, ("rshare", "last", k))
+                put(r) if lab is None else ctx.emit(r, ("rshare", "r", k, i))
+            put(acc) if lab is None else ctx.emit(acc, ("rshare", "last", k))
     shares = [int.from_bytes(block[i::per], "little") for i in range(per)]
     ctx.counters.ops += 2 * per * l
     last = int.from_bytes(bytes(values), "little")
@@ -181,7 +182,8 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: PackedRow,
     ext = [(-(bi & 1)) & ones for bi in b]
     if ctx.trace is None:
         return _cond_add_packed(ctx, ext, x, y, l)
-    ctx.emit(ext[0], ("scad", "ext"))
+    put, lab = ctx.trace.append, ctx.trace_labels
+    put(ext[0]) if lab is None else ctx.emit(ext[0], ("scad", "ext"))
     c = ctx.counters
     cols = []
     for k in range(l):
@@ -189,7 +191,7 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: PackedRow,
         a = sec_and(ctx, [(v >> sh) & 0xFF for v in y], ext)
         s = [((v >> sh) & 0xFF) ^ ai for v, ai in zip(x, a)]
         c.ops += n
-        ctx.emit(s[0], ("scad", "s", k))
+        put(s[0]) if lab is None else ctx.emit(s[0], ("scad", "s", k))
         cols.append(strong_refresh(ctx, s))
     return _pack(zip(*cols), l)
 
@@ -238,12 +240,14 @@ def sec_scalar_mult(ctx: MaskingContext, p: list[int],
     c = ctx.counters
     # working copy by coefficient, not charged
     cols = [[(v >> sh) & 0xFF for v in x] for sh in range(0, 8 * l, 8)]
-    ctx.emit(cols[0][0], ("ssm", "cp"))
+    put, lab = ctx.trace.append, ctx.trace_labels
+    put(cols[0][0]) if lab is None else ctx.emit(cols[0][0], ("ssm", "cp"))
     for j, pj in enumerate(p):
         for k, col in enumerate(cols):
             col = [mul(pj, v) for v in col]
             c.ops += n
-            ctx.emit(col[0], ("ssm", "mul", j, k))
+            put(col[0]) if lab is None else ctx.emit(col[0],
+                                                     ("ssm", "mul", j, k))
             cols[k] = refresh(ctx, col)
     return _pack(zip(*cols), l)
 
@@ -279,13 +283,15 @@ def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: PackedRow,
     if ctx.trace is None:
         return _mult_sub_packed(ctx, factor, row, base, l)
     c = ctx.counters
+    put, lab = ctx.trace.append, ctx.trace_labels
     cols = []
     for k in range(l):
         sh = 8 * k
         t = sec_mult(ctx, factor, [(v >> sh) & 0xFF for v in row])
-        cols.append([((v >> sh) & 0xFF) ^ ti for v, ti in zip(base, t)])
+        z = [((v >> sh) & 0xFF) ^ ti for v, ti in zip(base, t)]
         c.ops += n
-        ctx.emit(cols[k][0], ("sms", "z", k))
+        put(z[0]) if lab is None else ctx.emit(z[0], ("sms", "z", k))
+        cols.append(z)
     return _pack(zip(*cols), l)
 
 

@@ -150,6 +150,28 @@ class TestSolve:
         assert out == "" and "--count" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--random", "--m", "-2"),
+    ("solve", "--random", "--m", "0"),
+    ("solve", "--m", "-2"),
+    ("leakcheck", "--pipeline", "solve", "--m", "-2"),
+    ("leakcheck", "--pipeline", "solve", "--mode", "statistical", "--m", "x"),
+])
+def test_m_below_one_is_a_usage_error(capsys, monkeypatch, argv):
+    # a non-positive --m used to reach LinearSystem and report "empty system"
+    from mge import probelab
+
+    def no_system(*args, **kwargs):
+        raise AssertionError("built a system before --m was checked")
+
+    monkeypatch.setattr(cli, "random_system", no_system)
+    monkeypatch.setattr(probelab, "random_system", no_system)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith(f"usage: mge {argv[0]}")
+    assert "argument --m: expected an integer >= 1" in err
+
+
 class TestCostTable:
     def test_uov_order_2_has_four_rows(self, capsys):
         code, out, _ = run(capsys, "cost-table", "--schemes", "uov",

@@ -11,6 +11,7 @@ import pytest
 
 from mge.gf import ZeroInverse, field_new
 from mge import probelab as pl
+from mge.linalg import masked_solve, random_system
 from mge.masking import (DomainTape, MaskingContext, ReplayTape, ZeroSharing,
                          b2m, refresh, strong_refresh)
 
@@ -352,6 +353,126 @@ class TestStatistical:
         with pytest.raises(ValueError):
             pl.statistical_fixed_vs_random("refresh", F16, 2,
                                            samples_per_class=1, seed=1)
+
+
+class FloatMoments:
+    """The oracle: running float64 power sums of every trace's values."""
+
+    def __init__(self, npoints):
+        self.count = 0
+        self.s1 = np.zeros(npoints)
+        self.s2 = np.zeros(npoints)
+        self.s4 = np.zeros(npoints)
+
+    def add(self, values):
+        v = np.asarray(values, dtype=np.float64)
+        v2 = v * v
+        self.count += 1
+        self.s1 += v
+        self.s2 += v2
+        self.s4 += v2 * v2
+
+    def moments(self):
+        nsamp = self.count
+        mean = self.s1 / nsamp
+        var = (np.maximum(self.s2 / nsamp - mean * mean, 0.0)
+               * nsamp / (nsamp - 1))
+        mean2 = self.s2 / nsamp
+        var2 = (np.maximum(self.s4 / nsamp - mean2 * mean2, 0.0)
+                * nsamp / (nsamp - 1))
+        return mean, var, mean2, var2
+
+
+class TestMomentCounts:
+    @pytest.mark.parametrize("q, npoints", [(2, 5), (16, 1308), (256, 41)])
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_moments_equal_the_float_sums(self, q, npoints, whole):
+        acc = pl._MomentAccumulator(npoints, q)
+        # three full buffers, or three and a part one
+        traces = 3 * acc._batch + (0 if whole else acc._batch // 2 + 1)
+        rng = np.random.default_rng(q * npoints + whole)
+        oracle = FloatMoments(npoints)
+        for row in rng.integers(0, q, (traces, npoints)).tolist():
+            acc.add(row)
+            oracle.add(row)
+        assert acc.count == traces
+        for got, want in zip(acc.moments(), oracle.moments()):
+            assert np.array_equal(got, want)
+
+    def test_fewer_traces_than_a_buffer(self):
+        acc = pl._MomentAccumulator(4, 16)
+        oracle = FloatMoments(4)
+        for row in ([1, 0, 15, 7], [3, 3, 0, 9], [15, 2, 2, 0]):
+            acc.add(row)
+            oracle.add(row)
+        for got, want in zip(acc.moments(), oracle.moments()):
+            assert np.array_equal(got, want)
+
+    def test_value_outside_the_field_raises(self):
+        acc = pl._MomentAccumulator(3, 16)
+        acc.add([1, 2, 3])
+        acc.add([1, 16, 3])
+        with pytest.raises(ValueError, match="outside"):
+            acc.moments()
+
+    def test_trace_of_another_length_raises(self):
+        acc = pl._MomentAccumulator(3, 16)
+        with pytest.raises(ValueError, match="expected 3"):
+            acc.add([1, 2])
+
+
+def traced_run(name, field, n, labelled):
+    """One traced registry run on fixed sharings and tape: the trace, the
+    labels (None unlabelled), the counters and the tape state."""
+    spec = pl.lookup(name)
+    rng = random.Random(3)
+    args = [pl._random_sharing(kind, field, n, v, rng) for kind, v in
+            zip(spec.kinds, pl._fit_secrets(spec, field)[0])]
+    ctx = MaskingContext(field, n, seed=5)
+    ctx.trace, ctx.trace_labels = [], [] if labelled else None
+    spec.run(ctx, *args)
+    return (ctx.trace, ctx.trace_labels, ctx.counters.snapshot(),
+            ctx.rng._state)
+
+
+class TestRecording:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("w", [2, 4, 8])
+    def test_every_wire_is_a_field_element(self, n, w):
+        field = field_new(w)
+        for name in pl.gadget_names():
+            values = traced_run(name, field, n, False)[0]
+            assert all(type(v) is int and 0 <= v < field.q
+                       for v in values), name
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solve_wires_are_field_elements(self, n):
+        system = random_system(F16, 4, random.Random(n))
+        ctx = MaskingContext(F16, n, seed=n)
+        ctx.trace = []
+        masked_solve(ctx, system)
+        assert all(type(v) is int and 0 <= v < 16 for v in ctx.trace)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unlabelled_trace_equals_the_labelled_one(self, n):
+        for name in pl.gadget_names():
+            plain, none, *state = traced_run(name, F16, n, False)
+            labelled, labels, *state2 = traced_run(name, F16, n, True)
+            assert none is None and state == state2, name
+            assert plain == labelled and len(labels) == len(plain), name
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unlabelled_solve_trace_equals_the_labelled_one(self, n):
+        system = random_system(F16, 4, random.Random(n))
+        runs = []
+        for labels in (None, []):
+            ctx = MaskingContext(F16, n, seed=n)
+            ctx.trace, ctx.trace_labels = [], labels
+            out = masked_solve(ctx, system)
+            runs.append((out, ctx.trace, ctx.counters.snapshot(),
+                         ctx.rng._state))
+        assert runs[0] == runs[1]
+        assert len(labels) == len(runs[1][1])
 
 
 class TestSummary:
