@@ -154,15 +154,19 @@ def cmd_cost_table(cfg: argparse.Namespace) -> int:
 
 
 def cmd_leakcheck(cfg: argparse.Namespace) -> int:
+    if cfg.pipeline and cfg.mode == "exhaustive":
+        print("--mode exhaustive needs --gadget: a --pipeline check is a "
+              "statistical campaign", file=sys.stderr)
+        return EXIT_USAGE
     from . import probelab as pl  # numpy loads only for the commands that probe
+    mode = cfg.mode or ("statistical" if cfg.pipeline else "exhaustive")
     fieldspec = field_new(cfg.w)
     if not (math.isfinite(cfg.threshold) and cfg.threshold > 0):
         # at or below 0 every point would be flagged, at nan or inf none
         print(f"--threshold must be a finite number above 0, got "
               f"{cfg.threshold}", file=sys.stderr)
         return EXIT_USAGE
-    statistical = cfg.pipeline or cfg.mode == "statistical"
-    if statistical and cfg.samples < 4:
+    if mode == "statistical" and cfg.samples < 4:
         # a Welch t needs a sample variance, so two traces per class
         print(f"--samples must be at least 4, got {cfg.samples}",
               file=sys.stderr)
@@ -180,7 +184,7 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
         except pl.UnknownGadget:
             print(f"unknown gadget {cfg.gadget!r}", file=sys.stderr)
             return EXIT_USAGE
-        if cfg.mode == "exhaustive":
+        if mode == "exhaustive":
             verdicts = pl.exhaustive_first_order(spec.name, fieldspec, cfg.n)
         else:
             verdicts = pl.statistical_fixed_vs_random(
@@ -192,7 +196,7 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
     summary = pl.leak_summary(verdicts)
     report = {
         "target": label,
-        "mode": verdicts[0].mode if verdicts else cfg.mode,
+        "mode": mode,
         "summary": summary,
         "verdicts": [v.to_dict() for v in verdicts],
     }
@@ -619,7 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pipeline", choices=("solve", "solve-unmasked"),
                    help="statistical fixed-vs-random on the full solver")
     p.add_argument("--mode", choices=("exhaustive", "statistical"),
-                   default="exhaustive")
+                   help="exhaustive by default for --gadget; --pipeline "
+                   "is statistical only")
     p.add_argument("--m", type=_at_least_one, default=4)
     p.add_argument("--samples", type=int, default=20000,
                    help="total trace count, split between the two classes")

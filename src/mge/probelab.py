@@ -17,17 +17,16 @@ Two checking modes:
   and demand identical counts across secrets. This is the real
   first-order probing condition, feasible for one-coefficient gadgets
   on small fields. The runs go through the traced gadget code in
-  chunks of at most LANE_CHUNK (2048): every input share and every
+  chunks of at most LANE_CHUNK (8192): every input share and every
   draw is a Lanes vector, a uint8 ndarray with one lane per run, and
   the field is a LaneField whose products and inverses are numpy
   table lookups. A Lanes vector's augmented ^=, &= and |= rebind
   rather than write in place, as on ints, and its bool() is true when
   any lane is: a zero test raises if one run of the chunk would.
-  Memory is bounded per chunk, whatever the run count: one int64
-  digit vector per input and per draw (16 KiB each at 2048 lanes) and
-  uint8 vectors for shares, draws and wires (2 KiB each); the counts,
-  points x q int64 per secret, are summed over the chunks, and the
-  verdicts come from them in Python ints.
+  Memory is bounded per chunk, whatever the run count: uint8 vectors
+  for shares, draws and wires (8 KiB each at 8192 lanes), the draws cut
+  from one tape cycle tiled per check; the counts, points x q int64
+  per secret, are summed over the chunks into the verdicts' ints.
 
 * statistical: fixed-vs-random sampling with Welch's t on the first
   moment and on the non-centered second moment per point (the second
@@ -341,7 +340,7 @@ def record_trace(name: str, field: FieldSpec | None = None, n: int = 2,
 # ------------------------------------------------------------- exhaustive
 
 # Runs per traced run of the exhaustive check, one lane each
-LANE_CHUNK = 2048
+LANE_CHUNK = 8192
 
 
 class Lanes(np.ndarray):
@@ -365,24 +364,24 @@ class Lanes(np.ndarray):
 
 
 class LaneField:
-    """A FieldSpec's mul and inv on Lanes, by q x q and q lookup tables.
-
-    It stands in as ctx.field for the traced gadgets of a lane run;
-    field_lanes builds one per FieldSpec, on first use.
-    """
+    """A FieldSpec's mul and inv on Lanes: mul reads one flat 65536-byte
+    table at (a << 8) | b, inv a q-byte table. It stands in as ctx.field
+    for the traced gadgets of a lane run; field_lanes builds one per
+    FieldSpec, on first use."""
 
     __slots__ = ("w", "q", "_mul", "_inv")
 
     def __init__(self, field: FieldSpec):
         self.w, self.q = field.w, field.q
         log = np.array(field._log)
-        tab = np.array(field._exp, np.uint8)[log[:, None] + log]
+        tab = np.zeros((256, 256), np.uint8)
+        tab[:self.q, :self.q] = np.array(field._exp, np.uint8)[log[:, None] + log]
         tab[0] = tab[:, 0] = 0
-        self._mul = tab.view(Lanes)
+        self._mul = tab.ravel().view(Lanes)
         self._inv = np.array(field._inv, np.uint8).view(Lanes)
 
     def mul(self, a, b):
-        return self._mul[a, b]
+        return self._mul.take(np.left_shift(a, 8, dtype=np.uint16) | b)
 
     def inv(self, a):
         if not np.asarray(a).all():
@@ -391,6 +390,17 @@ class LaneField:
 
 
 field_lanes = cache(LaneField)
+
+
+def _tape_lanes(schedule, start: int, stop: int) -> list:
+    """Each scheduled draw's values over tapes start..stop-1 of a cycle,
+    numbered in mixed radix with the last draw varying fastest."""
+    if not schedule:
+        return []
+    digits = np.unravel_index(np.arange(start, stop),
+                              [(1 << w) - nonzero for w, nonzero in schedule])
+    return [(d + nonzero).astype(np.uint8).view(Lanes)
+            for d, (_, nonzero) in zip(digits, schedule)]
 
 
 def exhaustive_histograms(name: str, field: FieldSpec | None = None,
@@ -405,12 +415,11 @@ def exhaustive_histograms(name: str, field: FieldSpec | None = None,
     EnumerationTooLarge when the run count would exceed the cap.
 
     The runs of a secret are numbered in mixed radix (a sharing index
-    per input, then a value per scheduled draw) and run LANE_CHUNK at a
-    time: each input share and each draw is a Lanes vector with one lane
-    per run, the draws replayed by a ReplayTape, the field a LaneField.
-    The traced gadget code runs once per chunk and its trace holds one
-    vector per point; one bincount per point adds the chunk to the
-    counts.
+    per input, then a value per scheduled draw) and go through the traced
+    gadget code LANE_CHUNK (8192) at a time, as Lanes vectors over a
+    LaneField, the draws replayed by a ReplayTape. A chunk is whole tape
+    cycles, one per combination of input sharings, or a slice of a cycle
+    longer than LANE_CHUNK; one bincount per point adds it to the counts.
     """
     spec = lookup(name)
     if field is None:
@@ -426,35 +435,37 @@ def exhaustive_histograms(name: str, field: FieldSpec | None = None,
     ctx.trace, ctx.trace_labels = [], []
     spec.run(ctx, *(sharings[0] for sharings in inputs[0]))
     labels = ctx.trace_labels
-    draws = [np.arange(nonzero, 1 << w, dtype=np.uint8).view(Lanes)
-             for w, nonzero in ctx.rng.schedule]
-    ntapes = math.prod(map(len, draws))
+    schedule = ctx.rng.schedule
+    ntapes = math.prod((1 << w) - nonzero for w, nonzero in schedule)
     runs = [ntapes * math.prod(map(len, sets)) for sets in inputs]
     if sum(runs) > cap:
         raise EnumerationTooLarge(f"{sum(runs)} runs exceed cap {cap}")
 
+    # a chunk runs `per` sharing combinations on `span` tapes; tapes from 0
+    # draw from the tiled cycle start, later slices are decoded per chunk
+    span = min(ntapes, LANE_CHUNK)
+    per = LANE_CHUNK // span
+    cycle = [np.tile(v, per) for v in _tape_lanes(schedule, 0, span)]
     replay = ReplayTape(())
     ctx = MaskingContext(field_lanes(field), n, tape=replay)
-    npoints = len(labels)
     hists = []
-    for sets, total in zip(inputs, runs):
+    for sets in inputs:
         # per input, share i of sharing s is tables[input][i][s]
         tables = [np.array(s, np.uint8).T.copy().view(Lanes) for s in sets]
-        radices = [len(s) for s in sets] + [len(d) for d in draws]
-        counts = np.zeros((npoints, field.q), np.int64)
-        for start in range(0, total, LANE_CHUNK):
-            t = np.arange(start, min(start + LANE_CHUNK, total))
-            digits = []
-            for r in reversed(radices):
-                t, d = np.divmod(t, r)
-                digits.append(d)
-            digits.reverse()
-            replay.rewind([v[d] for v, d in zip(draws, digits[len(sets):])])
-            ctx.trace = trace = []
-            spec.run(ctx, *([share[d] for share in tab]
-                            for tab, d in zip(tables, digits)))
-            for row, v in zip(counts, trace):
-                row += np.bincount(v, minlength=field.q)
+        shape = [len(s) for s in sets]
+        combos = math.prod(shape)
+        counts = np.zeros((len(labels), field.q), np.int64)
+        for c in range(0, combos, per):
+            which = np.unravel_index(np.arange(c, min(c + per, combos)), shape)
+            for t in range(0, ntapes, span):
+                stop = min(t + span, ntapes)
+                replay.rewind([v[:len(which[0]) * span] for v in cycle] if t == 0
+                              else _tape_lanes(schedule, t, stop))
+                ctx.trace = trace = []
+                spec.run(ctx, *([share[s].repeat(stop - t) for share in tab]
+                                for tab, s in zip(tables, which)))
+                for row, v in zip(counts, trace):
+                    row += np.bincount(v, minlength=field.q)
         hists.append(counts)
     return labels, runs, hists
 
@@ -466,13 +477,12 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
 
     Counts each point's values over every input sharing and every tape
     assignment, per secret, with exhaustive_histograms: the traced
-    gadget runs once per chunk of at most LANE_CHUNK (2048) runs, on
-    Lanes vectors with one lane per run (lane k of every share, draw
-    and wire belongs to run k), and bool() of a Lanes vector is true
-    when any of its lanes is. A chunk holds a few KiB per input, draw
-    and point, whatever the run count (see the module docstring). A
-    point passes when every secret's counts equal the first's. Raises
-    EnumerationTooLarge when the run count would exceed the cap.
+    gadget runs once per chunk of at most LANE_CHUNK (8192) runs, on
+    Lanes vectors with one lane per run, and a chunk holds 8 KiB per
+    input share, draw and wire, whatever the run count (see the module
+    docstring). A point passes when every secret's counts equal the
+    first's. Raises EnumerationTooLarge when the run count would exceed
+    the cap.
     """
     labels, runs, hists = exhaustive_histograms(name, field, n, secrets, cap)
     # per further secret and point: the summed count gaps to the first

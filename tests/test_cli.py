@@ -271,6 +271,34 @@ class TestLeakcheck:
                            "solve-unmasked", "--m", "2", "--samples", "600")
         assert code == 4
 
+    def test_pipeline_in_exhaustive_mode_is_a_usage_error(self, capsys,
+                                                          monkeypatch):
+        # a pipeline check is a statistical campaign; the requested mode
+        # used to be dropped in favour of one
+        from mge import probelab
+
+        def no_probing(*args, **kwargs):
+            raise AssertionError("probed")
+
+        for name in ("statistical_fixed_vs_random", "exhaustive_first_order"):
+            monkeypatch.setattr(probelab, name, no_probing)
+        code, out, err = run(capsys, "leakcheck", "--pipeline", "solve",
+                             "--mode", "exhaustive")
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "--mode" in err
+
+    @pytest.mark.parametrize("target, mode", [
+        (("--gadget", "refresh", "--w", "2"), "exhaustive"),
+        (("--pipeline", "solve", "--m", "2", "--samples", "40"),
+         "statistical")])
+    def test_mode_defaults_to_the_targets_own(self, capsys, target, mode):
+        code, out, _ = run(capsys, "leakcheck", *target)
+        assert code == 0
+        report = json.loads(out)
+        assert report["mode"] == mode
+        assert {v["mode"] for v in report["verdicts"]} == {mode}
+
     @pytest.mark.parametrize("target", [
         ("--gadget", "refresh", "--mode", "statistical"),
         ("--pipeline", "solve", "--m", "2")])

@@ -1,6 +1,8 @@
 """Probing lab: trace shapes, the exhaustive checker, its power against
 seeded broken gadgets, and the statistical mode."""
 
+import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -191,6 +193,11 @@ def scalar_histograms(name, field, n):
     return hists
 
 
+@functools.cache
+def scalar_histograms_f4(name, n):
+    return scalar_histograms(name, F4, n)
+
+
 def lane_histograms(name, field, n):
     _, _, hists = pl.exhaustive_histograms(name, field, n)
     return [Counter({(int(p), int(v)): int(h[p, v])
@@ -226,6 +233,33 @@ class TestLanes:
     def test_histograms_equal_the_scalar_loop_n3(self, name):
         # sec_mult and sec_and run 16384 times per secret: eight chunks
         assert lane_histograms(name, F4, 3) == scalar_histograms(name, F4, 3)
+
+    # sec_mult's tape cycle at n = 3 is 64 tapes, sec_cond_add's at n = 2 is
+    # 16, and refresh_broken draws nothing: chunk sizes below a cycle,
+    # equal to one, and above one without being a multiple of it
+    @pytest.mark.parametrize("chunk", [1, 7, 48, 64, 100])
+    @pytest.mark.parametrize("name, n", [("sec_mult", 3), ("sec_cond_add", 2),
+                                         ("refresh_broken", 2)])
+    def test_any_chunk_size_counts_every_run_once(self, monkeypatch, name, n,
+                                                  chunk):
+        want = scalar_histograms_f4(name, n)
+        spec = pl.lookup(name)
+        lengths = []
+
+        def run(ctx, *args):
+            if isinstance(ctx.rng, ReplayTape):
+                vectors = [s for x in args for s in x] + list(ctx.rng._values)
+                assert all(isinstance(v, pl.Lanes) for v in vectors)
+                lengths.append({len(v) for v in vectors})
+            return spec.run(ctx, *args)
+
+        monkeypatch.setitem(pl.REGISTRY, name,
+                            dataclasses.replace(spec, run=run))
+        monkeypatch.setattr(pl, "LANE_CHUNK", chunk)
+        assert lane_histograms(name, F4, n) == want
+        # one lane count per traced run, never above the chunk size
+        assert lengths and all(len(s) == 1 and max(s) <= chunk
+                               for s in lengths)
 
     @pytest.mark.parametrize("gadget", [refresh, strong_refresh])
     def test_traced_refresh_keeps_inputs_and_emitted_values(self, gadget):
@@ -267,11 +301,14 @@ class TestLanes:
             lf.inv(lanes(1, 0, 15))
 
     def test_lane_products_follow_the_field(self):
-        lf = pl.field_lanes(F16)
-        a = lanes(*range(16)).repeat(16)
-        b = np.tile(lanes(*range(16)), 16)
-        assert lf.mul(a, b).tolist() == [
-            F16.mul(u, v) for u in range(16) for v in range(16)]
+        # the product table's row stride is 256 whatever the width
+        for w in range(1, 9):
+            field = field_new(w)
+            q = field.q
+            a = lanes(*range(q)).repeat(q)
+            b = np.tile(lanes(*range(q)), q)
+            assert pl.field_lanes(field).mul(a, b).tolist() == [
+                field.mul(u, v) for u in range(q) for v in range(q)], w
 
     def test_b2m_on_a_batch_with_a_zero_lane_raises(self):
         # lane 1 shares 3 ^ 3 = 0; the others encode nonzero values
