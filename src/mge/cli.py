@@ -158,25 +158,38 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
         print("--mode exhaustive needs --gadget: a --pipeline check is a "
               "statistical campaign", file=sys.stderr)
         return EXIT_USAGE
-    from . import probelab as pl  # numpy loads only for the commands that probe
     mode = cfg.mode or ("statistical" if cfg.pipeline else "exhaustive")
+    # a flag the chosen check never reads is refused, not dropped
+    unread = {}
+    if mode == "exhaustive":
+        unread["--samples"] = unread["--threshold"] = "an exhaustive check"
+    if cfg.gadget:
+        unread["--m"] = "a --gadget check: it sizes a --pipeline system"
+    for flag, check in unread.items():
+        if getattr(cfg, flag[2:]) is not None:
+            print(f"{flag} has no effect on {check}", file=sys.stderr)
+            return EXIT_USAGE
+    m = 4 if cfg.m is None else cfg.m
+    samples = 20000 if cfg.samples is None else cfg.samples
+    threshold = 4.5 if cfg.threshold is None else cfg.threshold
+    from . import probelab as pl  # numpy loads only for the commands that probe
     fieldspec = field_new(cfg.w)
-    if not (math.isfinite(cfg.threshold) and cfg.threshold > 0):
+    if not (math.isfinite(threshold) and threshold > 0):
         # at or below 0 every point would be flagged, at nan or inf none
         print(f"--threshold must be a finite number above 0, got "
-              f"{cfg.threshold}", file=sys.stderr)
+              f"{threshold}", file=sys.stderr)
         return EXIT_USAGE
-    if mode == "statistical" and cfg.samples < 4:
+    if mode == "statistical" and samples < 4:
         # a Welch t needs a sample variance, so two traces per class
-        print(f"--samples must be at least 4, got {cfg.samples}",
+        print(f"--samples must be at least 4, got {samples}",
               file=sys.stderr)
         return EXIT_USAGE
     if cfg.pipeline:
         target = cfg.pipeline.replace("-", "_")
         verdicts = pl.statistical_fixed_vs_random(
-            target, fieldspec, cfg.n, m=cfg.m,
-            samples_per_class=cfg.samples // 2,
-            threshold=cfg.threshold, seed=cfg.seed)
+            target, fieldspec, cfg.n, m=m,
+            samples_per_class=samples // 2,
+            threshold=threshold, seed=cfg.seed)
         label = target
     else:
         try:
@@ -189,8 +202,8 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
         else:
             verdicts = pl.statistical_fixed_vs_random(
                 spec.name, fieldspec, cfg.n,
-                samples_per_class=cfg.samples // 2,
-                threshold=cfg.threshold, seed=cfg.seed)
+                samples_per_class=samples // 2,
+                threshold=threshold, seed=cfg.seed)
         label = spec.name
 
     summary = pl.leak_summary(verdicts)
@@ -625,10 +638,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "statistical"),
                    help="exhaustive by default for --gadget; --pipeline "
                    "is statistical only")
-    p.add_argument("--m", type=_at_least_one, default=4)
-    p.add_argument("--samples", type=int, default=20000,
-                   help="total trace count, split between the two classes")
-    p.add_argument("--threshold", type=float, default=4.5)
+    # None marks a flag not given: each check refuses the flags it
+    # never reads, and cmd_leakcheck fills in these defaults
+    p.add_argument("--m", type=_at_least_one,
+                   help="--pipeline system size (default 4)")
+    p.add_argument("--samples", type=int,
+                   help="statistical: total trace count, split between the "
+                   "two classes (default 20000)")
+    p.add_argument("--threshold", type=float,
+                   help="statistical: |t| above which a point fails "
+                   "(default 4.5)")
     p.add_argument("--shares", type=int, default=2, dest="n")
     p.add_argument("--w", type=int, default=4, help="field width in bits")
     p.add_argument("--json", dest="json_path", help="write verdicts here")

@@ -3,7 +3,10 @@
 Field elements are plain Python ints in [0, 2^w), read as polynomials
 over GF(2) (bit i is the coefficient of x^i). Addition is XOR and costs
 nothing to set up; multiplication and inversion go through a FieldSpec,
-which fixes the reduction polynomial and precomputes log/exp tables.
+which fixes the reduction polynomial and tabulates every product and
+inverse at construction. FieldSpec.products is the one product table of
+a field: mul reads it, the row kernels of mge.rowops slice a factor's
+row from it, and the probing lab's LaneField views it as a numpy array.
 
 A FieldSpec is immutable after construction and safe to share between
 threads. Obtain one through field_new(), which caches per (w, poly).
@@ -71,9 +74,14 @@ def _mul_ref(a: int, b: int, poly: int, w: int) -> int:
 
 
 class FieldSpec:
-    """One binary field: width, modulus, and the lookup tables."""
+    """One binary field: width, modulus, and the lookup tables.
 
-    __slots__ = ("w", "poly", "q", "_exp", "_log", "_inv")
+    products is 65536 bytes: row a, bytes 256a..256a+255, is the
+    bytes.translate table of v -> a*v, 0 for v >= q, and every row for
+    a >= q is zero. inverses holds the q inverses, 0 at 0.
+    """
+
+    __slots__ = ("w", "poly", "q", "products", "inverses")
 
     def __init__(self, w: int, poly: int | None = None):
         if not isinstance(w, int) or not 1 <= w <= 8:
@@ -90,8 +98,8 @@ class FieldSpec:
         object.__setattr__(self, "q", q)
 
         # The multiplicative group is cyclic of order q-1: exp holds the
-        # powers of the first generator, laid out twice over so mul needs
-        # no modular reduction.
+        # powers of the first generator, laid out twice over so a log
+        # sum needs no modular reduction.
         exp = [1]
         for gen in range(2, q):
             exp, x = [1], gen
@@ -104,12 +112,19 @@ class FieldSpec:
         for i, x in enumerate(exp):
             log[x] = i
         exp += exp
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
 
-        # the inverse of g^i is g^(q-1-i); freeze the results into a table
-        inv = [0] + [exp[q - 1 - log[v]] for v in range(1, q)]
-        object.__setattr__(self, "_inv", inv)
+        # a*v = exp[log a + log v]: row a translates the logs of 1..q-1
+        # by the exp table rotated to start at log a
+        logs = bytes(log[1:q])
+        rows = [bytes(256)]
+        for a in range(1, q):
+            rot = bytes(exp[log[a]:log[a] + q - 1]) + bytes(257 - q)
+            rows.append(b"\0" + logs.translate(rot) + bytes(256 - q))
+        object.__setattr__(self, "products",
+                           b"".join(rows) + bytes(256 * (256 - q)))
+        # the inverse of g^i is g^(q-1-i)
+        object.__setattr__(self, "inverses", bytes(
+            [0] + [exp[q - 1 - log[v]] for v in range(1, q)]))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
@@ -119,9 +134,7 @@ class FieldSpec:
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements. Inputs must lie in [0, q)."""
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.products[(a << 8) | b]
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square and multiply; a=0 maps to 0 for e>0, 1 for e=0."""
@@ -141,7 +154,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self._inv[a]
+        return self.inverses[a]
 
 
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}

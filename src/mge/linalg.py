@@ -132,8 +132,16 @@ def gaussian_elimination(system: LinearSystem, pivot_tries: int | None = None,
 # ------------------------------------------------------------ masked path
 
 
+class FieldMismatch(ValueError):
+    """A masking context over another field than the system's."""
+
+
 def share_system(ctx: MaskingContext, system: LinearSystem) -> list:
     """Share the augmented matrix row-wise (not part of gadget costs)."""
+    cf, sf = ctx.field, system.field
+    if (cf.w, cf.poly) != (sf.w, sf.poly):
+        raise FieldMismatch(f"the context is over {cf!r}, the system over "
+                            f"{sf!r}")
     return [row_share(ctx, list(system.a[j]) + [system.b[j]])
             for j in range(system.m)]
 

@@ -19,8 +19,8 @@ Two checking modes:
   on small fields. The runs go through the traced gadget code in
   chunks of at most LANE_CHUNK (8192): every input share and every
   draw is a Lanes vector, a uint8 ndarray with one lane per run, and
-  the field is a LaneField whose products and inverses are numpy
-  table lookups. A Lanes vector's augmented ^=, &= and |= rebind
+  the field is a LaneField whose products and inverses are numpy views
+  of the FieldSpec's tables. A Lanes vector's augmented ^=, &= and |= rebind
   rather than write in place, as on ints, and its bool() is true when
   any lane is: a zero test raises if one run of the chunk would.
   Memory is bounded per chunk, whatever the run count: uint8 vectors
@@ -364,29 +364,26 @@ class Lanes(np.ndarray):
 
 
 class LaneField:
-    """A FieldSpec's mul and inv on Lanes: mul reads one flat 65536-byte
-    table at (a << 8) | b, inv a q-byte table. It stands in as ctx.field
-    for the traced gadgets of a lane run; field_lanes builds one per
-    FieldSpec, on first use."""
+    """A FieldSpec's mul and inv on Lanes: numpy views of the field's
+    own tables, so mul reads FieldSpec.products at (a << 8) | b and inv
+    reads FieldSpec.inverses. It stands in as ctx.field for the traced
+    gadgets of a lane run; field_lanes makes one per FieldSpec, on
+    first use."""
 
-    __slots__ = ("w", "q", "_mul", "_inv")
+    __slots__ = ("w", "q", "products", "inverses")
 
     def __init__(self, field: FieldSpec):
         self.w, self.q = field.w, field.q
-        log = np.array(field._log)
-        tab = np.zeros((256, 256), np.uint8)
-        tab[:self.q, :self.q] = np.array(field._exp, np.uint8)[log[:, None] + log]
-        tab[0] = tab[:, 0] = 0
-        self._mul = tab.ravel().view(Lanes)
-        self._inv = np.array(field._inv, np.uint8).view(Lanes)
+        self.products = np.frombuffer(field.products, np.uint8).view(Lanes)
+        self.inverses = np.frombuffer(field.inverses, np.uint8).view(Lanes)
 
     def mul(self, a, b):
-        return self._mul.take(np.left_shift(a, 8, dtype=np.uint16) | b)
+        return self.products.take(np.left_shift(a, 8, dtype=np.uint16) | b)
 
     def inv(self, a):
         if not np.asarray(a).all():
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self._inv[a]
+        return self.inverses[a]
 
 
 field_lanes = cache(LaneField)

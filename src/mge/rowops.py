@@ -11,8 +11,8 @@ factor) each have two executions of one algorithm. With a probe trace
 the scalar gadgets of mge.masking, emitting a point per wire; that is
 the reference. Without one a kernel runs on the share ints: each ISW
 pair and refresh step is one XOR or AND over the whole row, GF products
-go through a 256-byte multiply table per factor (built from the field's
-log/exp tables), and the randoms come from one MaskingContext.rand_block,
+go through a factor's 256-byte row of the field's FieldSpec.products
+table, and the randoms come from one MaskingContext.rand_block,
 sliced in the order the scalar path draws them: per coefficient, pair
 by pair in masking.share_pairs order. Both executions give
 the same shares, counters at the gadget boundary and final tape state.
@@ -92,26 +92,9 @@ def _pack(shares, l: int) -> PackedRow:
     return PackedRow([int.from_bytes(s, "little") for s in shares], l)
 
 
-# (w, poly, c) -> bytes.translate table of v -> c*v, built on first use
-_MUL_TABLES: dict = {}
-
-
 def _mul_table(field, c: int) -> bytes:
-    key = (field.w, field.poly, c)
-    t = _MUL_TABLES.get(key)
-    if t is None:
-        q = field.q
-        if c == 0:
-            t = bytes(256)
-        else:
-            # c*v = exp[log c + log v]: translate the logs of 1..q-1 by
-            # the exp table rotated to start at log c. Bytes outside the
-            # field never occur in a valid row; map them to 0.
-            lc = field._log[c]
-            rot = bytes(field._exp[lc:lc + q - 1]) + bytes(257 - q)
-            t = b"\0" + bytes(field._log[1:q]).translate(rot) + bytes(256 - q)
-        _MUL_TABLES[key] = t
-    return t
+    # the bytes.translate table of v -> c*v: row c of the field's products
+    return field.products[c << 8:(c + 1) << 8]
 
 
 # Op forms of the row gadgets for n shares and row length l: the packed
@@ -176,6 +159,8 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: PackedRow,
     l = _check_row(x, n)
     if _check_row(y, n) != l:
         raise LengthMismatch("row lengths differ")
+    if len(b) != n:
+        raise LengthMismatch(f"expected {n} bit shares, got {len(b)}")
     w = ctx.field.w
     ones = (1 << w) - 1
     # sign-extend each bit share to w bits; local move, not charged
@@ -280,6 +265,9 @@ def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: PackedRow,
     l = _check_row(row, n)
     if _check_row(base, n) != l:
         raise LengthMismatch("row lengths differ")
+    if len(factor) != n:
+        raise LengthMismatch(f"expected {n} factor shares, got "
+                             f"{len(factor)}")
     if ctx.trace is None:
         return _mult_sub_packed(ctx, factor, row, base, l)
     c = ctx.counters

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -322,6 +324,40 @@ class TestLeakcheck:
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert "--threshold must be a finite number above 0" in err
+
+    def test_flag_the_check_never_reads_is_a_usage_error(self):
+        # each used to run its check and exit 0; one fresh interpreter
+        # also shows the refusal comes before probelab is imported
+        cases = [("--samples", ["--gadget", "sec_mult", "--samples", "10"]),
+                 ("--threshold", ["--gadget", "refresh", "--mode",
+                                  "exhaustive", "--threshold", "2"]),
+                 ("--m", ["--gadget", "refresh", "--mode", "statistical",
+                          "--m", "9"])]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from mge.cli import main\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), "
+            "contextlib.redirect_stderr(err):\n"
+            "        code = main(['leakcheck', *argv])\n"
+            "    runs.append([code, out.getvalue(), err.getvalue(),\n"
+            "                 'mge.probelab' in sys.modules])\n"
+            "print(json.dumps(runs))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps([argv for _, argv in cases])],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        for (flag, argv), (code, out, err, imported) in zip(
+                cases, json.loads(proc.stdout)):
+            assert code == cli.EXIT_USAGE, argv
+            assert out == "", argv
+            assert err.startswith(flag), argv
+            assert not imported, argv
 
     def test_unknown_gadget_exit_1(self, capsys):
         code, _, err = run(capsys, "leakcheck", "--gadget", "nope")

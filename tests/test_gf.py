@@ -17,6 +17,7 @@ from mge.gf import (
     ReduciblePolynomial,
     WidthOutOfRange,
     ZeroInverse,
+    _mul_ref,
     field_new,
     gf_add,
     gf_inv,
@@ -153,6 +154,21 @@ def test_irreducibility_counts_match_reference():
             ref_irreducible(p, w) for p in range(1 << w, 1 << (w + 1))
         )
         assert mine == theirs == want
+
+
+@pytest.mark.parametrize("w", range(1, 9))
+def test_tables_equal_shift_and_add_products_and_brute_inverses(w):
+    # products is 256 rows of 256 bytes; zero outside the field
+    f = field_new(w)
+    q, poly = f.q, f.poly
+    want = bytearray(1 << 16)
+    for a in range(q):
+        for b in range(q):
+            want[(a << 8) | b] = _mul_ref(a, b, poly, w)
+    assert f.products == bytes(want)
+    inverses = [0] + [next(b for b in range(1, q) if _mul_ref(a, b, poly, w)
+                           == 1) for a in range(1, q)]
+    assert list(f.inverses) == inverses
 
 
 def test_default_polys_all_construct():

@@ -14,9 +14,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mge.gf import field_new
+from mge.gf import FieldSpec, field_new
 from mge.masking import MaskingContext
 from mge.linalg import (
+    FieldMismatch,
     LinearSystem,
     gaussian_elimination,
     masked_solve,
@@ -170,6 +171,22 @@ class TestValidation:
             LinearSystem(F16, [[16, 0], [0, 1]], [0, 0])
         with pytest.raises(ValueError):
             LinearSystem(F16, [[1, 0], [0, 1]], [0, -1])
+
+    @pytest.mark.parametrize("w, poly", [(8, None), (4, 0x19), (2, None)])
+    def test_context_over_another_field_rejected_before_any_draw(self, w,
+                                                                 poly):
+        # a GF(256) context used to solve a GF(16) system with no error
+        # and a wrong solution
+        sysm = random_system(F16, 4, random.Random(5))
+        ctx = MaskingContext(FieldSpec(w, poly), 3, seed=9)
+        state = ctx.rng._state
+        with pytest.raises(FieldMismatch):
+            masked_solve(ctx, sysm)
+        assert ctx.rng._state == state
+        assert ctx.counters.snapshot() == (0, 0, 0)
+        # an equal field built apart from the cache is the same field
+        ctx = MaskingContext(FieldSpec(4, 0x13), 3, seed=9)
+        assert masked_solve(ctx, sysm) == gaussian_elimination(sysm)
 
     def test_system_is_immutable(self):
         sysm = LinearSystem(F16, [[1, 0], [0, 1]], [2, 3])

@@ -194,6 +194,27 @@ class TestValidation:
         with pytest.raises(LengthMismatch):
             sec_scalar_mult(ctx, [1, 1, 1], row_share(ctx, [1]))
 
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("gadget", ["cond_add", "scalar_mult",
+                                        "mult_sub"])
+    def test_bit_and_factor_share_counts(self, gadget, count, traced):
+        # n = 3: a short or long bit or factor sharing is rejected on
+        # both paths before any draw or charge
+        ctx = _ctx(F16, 3)
+        x, y = row_share(ctx, [1, 2]), row_share(ctx, [3, 4])
+        ctx.trace = [] if traced else None
+        shares = [1, 0, 0, 1][:count]
+        run = {"cond_add": lambda: sec_cond_add(ctx, shares, x, y),
+               "scalar_mult": lambda: sec_scalar_mult(ctx, shares, x),
+               "mult_sub": lambda: sec_mult_sub(ctx, shares, x, y)}[gadget]
+        counters, state = ctx.counters.snapshot(), ctx.rng._state
+        with pytest.raises(LengthMismatch):
+            run()
+        assert ctx.counters.snapshot() == counters
+        assert ctx.rng._state == state
+        assert not ctx.trace
+
 
 # ------------------------------------------- packed path against scalar
 
