@@ -10,7 +10,8 @@ Exit codes: 0 ok, 1 usage/IO/mismatch, 2 singular, 3 table mismatch,
 4 leak fail, 5 selftest fail. Output is byte-stable for a fixed seed;
 bench timing fields are suppressed with --no-timing. The seed comes
 from --seed, else the MGE_SEED environment variable, else a fixed
-default.
+default. A flag the chosen run never reads, --seed included, exits 1
+before any work starts (_unread_flags).
 """
 
 from __future__ import annotations
@@ -159,37 +160,24 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
               "statistical campaign", file=sys.stderr)
         return EXIT_USAGE
     mode = cfg.mode or ("statistical" if cfg.pipeline else "exhaustive")
-    # a flag the chosen check never reads is refused, not dropped
-    unread = {}
-    if mode == "exhaustive":
-        unread["--samples"] = unread["--threshold"] = "an exhaustive check"
-    if cfg.gadget:
-        unread["--m"] = "a --gadget check: it sizes a --pipeline system"
-    for flag, check in unread.items():
-        if getattr(cfg, flag[2:]) is not None:
-            print(f"{flag} has no effect on {check}", file=sys.stderr)
-            return EXIT_USAGE
-    m = 4 if cfg.m is None else cfg.m
-    samples = 20000 if cfg.samples is None else cfg.samples
-    threshold = 4.5 if cfg.threshold is None else cfg.threshold
     from . import probelab as pl  # numpy loads only for the commands that probe
     fieldspec = field_new(cfg.w)
-    if not (math.isfinite(threshold) and threshold > 0):
+    if not (math.isfinite(cfg.threshold) and cfg.threshold > 0):
         # at or below 0 every point would be flagged, at nan or inf none
         print(f"--threshold must be a finite number above 0, got "
-              f"{threshold}", file=sys.stderr)
+              f"{cfg.threshold}", file=sys.stderr)
         return EXIT_USAGE
-    if mode == "statistical" and samples < 4:
+    if mode == "statistical" and cfg.samples < 4:
         # a Welch t needs a sample variance, so two traces per class
-        print(f"--samples must be at least 4, got {samples}",
+        print(f"--samples must be at least 4, got {cfg.samples}",
               file=sys.stderr)
         return EXIT_USAGE
     if cfg.pipeline:
         target = cfg.pipeline.replace("-", "_")
         verdicts = pl.statistical_fixed_vs_random(
-            target, fieldspec, cfg.n, m=m,
-            samples_per_class=samples // 2,
-            threshold=threshold, seed=cfg.seed)
+            target, fieldspec, cfg.n, m=cfg.m,
+            samples_per_class=cfg.samples // 2,
+            threshold=cfg.threshold, seed=cfg.seed)
         label = target
     else:
         try:
@@ -202,8 +190,8 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
         else:
             verdicts = pl.statistical_fixed_vs_random(
                 spec.name, fieldspec, cfg.n,
-                samples_per_class=samples // 2,
-                threshold=threshold, seed=cfg.seed)
+                samples_per_class=cfg.samples // 2,
+                threshold=cfg.threshold, seed=cfg.seed)
         label = spec.name
 
     summary = pl.leak_summary(verdicts)
@@ -613,11 +601,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--in", dest="in_path", help="JSON {q, m, A, b}")
     g.add_argument("--random", action="store_true",
                    help="solve --count random systems instead of a file")
-    p.add_argument("--count", type=_at_least_one, default=100)
-    p.add_argument("--q", type=int, default=16)
-    p.add_argument("--m", type=_at_least_one, default=4)
-    p.add_argument("--shares", type=int, default=2, dest="n")
-    p.add_argument("--unmasked", action="store_true",
+    # None marks a flag not given, here and in leakcheck: a run refuses
+    # the flags it never reads, and main fills in _DEFAULTS
+    p.add_argument("--count", type=_at_least_one,
+                   help="--random batch size (default 100)")
+    p.add_argument("--q", type=int, help="--random field size (default 16)")
+    p.add_argument("--m", type=_at_least_one,
+                   help="--random system size (default 4)")
+    p.add_argument("--shares", type=int, dest="n",
+                   help="masked share count (default 2)")
+    p.add_argument("--unmasked", action="store_true", default=None,
                    help="run the reference path instead of the masked one")
     p.add_argument("--compare", action="store_true",
                    help="run both paths and report MATCH counts")
@@ -638,8 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "statistical"),
                    help="exhaustive by default for --gadget; --pipeline "
                    "is statistical only")
-    # None marks a flag not given: each check refuses the flags it
-    # never reads, and cmd_leakcheck fills in these defaults
     p.add_argument("--m", type=_at_least_one,
                    help="--pipeline system size (default 4)")
     p.add_argument("--samples", type=int,
@@ -667,12 +658,50 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the defaults of the flags that parse to None when not given
+_DEFAULTS = {"count": 100, "q": 16, "m": 4, "n": 2, "samples": 20000,
+             "threshold": 4.5}
+
+
+def _unread_flags(cfg: argparse.Namespace) -> dict:
+    """The given flags that the chosen run never reads, each mapped to
+    that run. MGE_SEED is no flag, and no run refuses it."""
+    unread = {}
+    if cfg.command == "solve":
+        if cfg.in_path is not None:
+            for flag in ("--count", "--q", "--m"):
+                unread[flag] = "a solve of an --in file"
+        if cfg.compare:
+            unread["--unmasked"] = "--compare, which runs both paths"
+        elif cfg.unmasked:
+            unread["--shares"] = "an --unmasked solve"
+            if cfg.in_path is not None:
+                unread["--seed"] = "an --unmasked solve of an --in file"
+    elif cfg.command == "cost-table":
+        unread["--seed"] = "cost-table, which draws nothing"
+    elif cfg.command == "leakcheck" and cfg.gadget:
+        if cfg.mode != "statistical":
+            for flag in ("--samples", "--threshold", "--seed"):
+                unread[flag] = "an exhaustive check"
+        unread["--m"] = "a --gadget check: it sizes a --pipeline system"
+    dest = {"--shares": "n"}
+    return {flag: run for flag, run in unread.items()
+            if getattr(cfg, dest.get(flag, flag[2:])) is not None}
+
+
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
+    # a flag the chosen run never reads is refused, not dropped
+    for flag, run in _unread_flags(ns).items():
+        print(f"{flag} has no effect on {run}", file=sys.stderr)
+        return EXIT_USAGE
+    for key, value in _DEFAULTS.items():
+        if getattr(ns, key, value) is None:
+            setattr(ns, key, value)
     try:
         ns.seed = _resolve_seed(ns.seed)
         handler = {

@@ -14,6 +14,8 @@ threads. Obtain one through field_new(), which caches per (w, poly).
 
 from __future__ import annotations
 
+from functools import cache
+
 
 class WidthOutOfRange(ValueError):
     """Field width outside the supported range 1..8."""
@@ -157,21 +159,14 @@ class FieldSpec:
         return self.inverses[a]
 
 
-_FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
+_field_spec = cache(FieldSpec)
 
 
 def field_new(w: int, poly: int | None = None) -> FieldSpec:
     """Construct (or fetch the cached) FieldSpec for GF(2^w) mod poly."""
-    if poly is None:
-        if not isinstance(w, int) or not 1 <= w <= 8:
-            raise WidthOutOfRange(f"w must be an int in 1..8, got {w!r}")
-        poly = DEFAULT_POLY[w]
-    key = (w, poly)
-    spec = _FIELD_CACHE.get(key)
-    if spec is None:
-        spec = FieldSpec(w, poly)
-        _FIELD_CACHE[key] = spec
-    return spec
+    if not isinstance(w, int) or not 1 <= w <= 8:
+        raise WidthOutOfRange(f"w must be an int in 1..8, got {w!r}")
+    return _field_spec(w, DEFAULT_POLY[w] if poly is None else poly)
 
 
 def gf_add(x: int, y: int) -> int:

@@ -3,7 +3,9 @@
 Representation. A Boolean sharing of x is a list of n field elements
 whose XOR is x. A multiplicative sharing is a list of n nonzero
 elements whose field product is x. Shared rows (in mge.rowops) are
-PackedRows: n share ints with one coefficient per byte.
+PackedRows: n share ints with one coefficient per byte. A gadget given
+a sharing of other than n shares raises LengthMismatch before it draws
+or counts anything.
 
 Tapes. The tapes live in mge.tape and are re-exported here. A
 SeededTape computes its SplitMix64 outputs ahead of use, in one wide
@@ -65,6 +67,16 @@ from .tape import DomainTape, ReplayTape  # noqa: F401  (re-exported)
 
 class ZeroSharing(ValueError):
     """A gadget defined on nonzero values got a sharing of zero."""
+
+
+class LengthMismatch(ValueError):
+    """Rows or sharings whose share counts or lengths disagree."""
+
+
+def _wrong_count(n: int, *sharings) -> LengthMismatch:
+    # every gadget checks its sharings before it draws or counts
+    got = " and ".join(str(len(x)) for x in sharings)
+    return LengthMismatch(f"expected {n} shares, got {got}")
 
 
 class CostCounters:
@@ -197,6 +209,8 @@ def refresh(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Linear refresh against share 0. ops 4n-3, bits (n-1)w."""
     c = ctx.counters
     n = ctx.n
+    if len(x) != n:
+        raise _wrong_count(n, x)
     y = list(x)
     c.ops += n  # output copy is charged by the closed form
     tr = ctx.trace
@@ -226,8 +240,11 @@ def strong_refresh(ctx: MaskingContext, x: list[int],
     draw made as its pair is reached, which costs less than a block on
     the short pair counts of probing runs.
     """
+    n = ctx.n
+    if len(x) != n:
+        raise _wrong_count(n, x)
     y = list(x)  # copy not charged
-    pairs = share_pairs(ctx.n)
+    pairs = share_pairs(n)
     tr = ctx.trace
     if tr is None:
         rs = ctx.rand_block(len(pairs), width)
@@ -251,7 +268,7 @@ def strong_refresh(ctx: MaskingContext, x: list[int],
 
 def full_add(ctx: MaskingContext, x: list[int]) -> int:
     """Strong refresh, then sum all shares into one public value."""
-    y = strong_refresh(ctx, x)
+    y = strong_refresh(ctx, x)  # checks the share count first
     s = y[0]
     for i in range(1, ctx.n):
         s ^= y[i]
@@ -275,6 +292,8 @@ def _isw(ctx: MaskingContext, x: list[int], y: list[int], prod, tag: str,
     share pair.
     """
     n = ctx.n
+    if len(x) != n or len(y) != n:
+        raise _wrong_count(n, x, y)
     c = ctx.counters
     tr = ctx.trace
     if tr is not None:
@@ -318,6 +337,8 @@ def sec_and(ctx: MaskingContext, x: list[int], y: list[int],
 
 def sec_not(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Complement of a shared bit: flip the low bit of share 0."""
+    if len(x) != ctx.n:
+        raise _wrong_count(ctx.n, x)
     y = list(x)
     y[0] ^= 1
     ctx.counters.ops += 1
@@ -332,6 +353,8 @@ def sec_or(ctx: MaskingContext, x: list[int], y: list[int],
            width: int | None = None) -> list[int]:
     """De Morgan OR on width-bit slices: ops 2n + T_and + 1."""
     n = ctx.n
+    if len(x) != n or len(y) != n:
+        raise _wrong_count(n, x, y)
     w = ctx.field.w if width is None else width
     ones = (1 << w) - 1
     c = ctx.counters
@@ -389,8 +412,10 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
     packed into one int.
     """
     n = ctx.n
+    if len(x) != n:
+        raise _wrong_count(n, x)
     w = ctx.field.w
-    plan = _NONZERO_PLANS.get((n, w)) or _nonzero_plan(n, w)
+    plan = _nonzero_plan(n, w)
     align_ops, align_bits, run_ops, levels, spreads, shifts = plan
     c = ctx.counters
     if ctx.trace is None:
@@ -422,9 +447,7 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
 # fold level the half width, its mask in every share's byte and in share
 # 0's; per share pair (i, j) the int with bytes i and j set to 1; the
 # shifts 8d that line share i + d up with share i, d = 1..n-1.
-_NONZERO_PLANS: dict = {}
-
-
+@cache
 def _nonzero_plan(n, w):
     padded = 1 << (w - 1).bit_length() if w > 1 else 1
     every = int.from_bytes(b"\x01" * n, "little")
@@ -437,11 +460,9 @@ def _nonzero_plan(n, w):
     spreads = tuple((1 << 8 * i) | (1 << 8 * j) for i, j in share_pairs(n))
     # per level a strong_refresh and a sec_or, after the charged copy
     run_ops = n + len(levels) * (5 * n * n - 2 * n + 1)
-    plan = _NONZERO_PLANS[n, w] = (
-        nonzero_ops(n, w) - run_ops,
-        nonzero_bits(n, w) - (n * n - n) * (padded - 1),
-        run_ops, tuple(levels), spreads, tuple(range(8, 8 * n, 8)))
-    return plan
+    return (nonzero_ops(n, w) - run_ops,
+            nonzero_bits(n, w) - (n * n - n) * (padded - 1),
+            run_ops, tuple(levels), spreads, tuple(range(8, 8 * n, 8)))
 
 
 def _nonzero_packed(ctx, t, levels, spreads, shifts, n):
@@ -483,6 +504,8 @@ def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
     input is never recombined.
     """
     n = ctx.n
+    if len(x) != n:
+        raise _wrong_count(n, x)
     field = ctx.field
     mul = field.mul
     c = ctx.counters
@@ -533,7 +556,7 @@ def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
 
 def b2minv(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Multiplicative sharing of the inverse: b2m then invert each share."""
-    m = b2m(ctx, x)
+    m = b2m(ctx, x)  # checks the share count first
     inv = ctx.field.inv
     c = ctx.counters
     tr = ctx.trace

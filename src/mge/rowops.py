@@ -33,8 +33,10 @@ reads the shares of its coefficient 0 and row_drop removes it.
 
 from __future__ import annotations
 
-from .masking import (MaskingContext, refresh, sec_and, sec_mult,
-                      share_pairs, strong_refresh)
+from functools import cache
+
+from .masking import (LengthMismatch, MaskingContext, refresh, sec_and,
+                      sec_mult, share_pairs, strong_refresh)
 
 
 class PackedRow(list):
@@ -45,10 +47,6 @@ class PackedRow(list):
     def __init__(self, shares, l: int):
         self.extend(shares)  # a bound call; list.__init__ costs twice as much
         self.l = l
-
-
-class LengthMismatch(ValueError):
-    """Rows or sharings whose share counts or lengths disagree."""
 
 
 class LengthZero(ValueError):
@@ -181,8 +179,10 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: PackedRow,
     return _pack(zip(*cols), l)
 
 
-# l -> the int with byte 1 in each of its l bytes
-_LANES: dict = {}
+@cache
+def _byte_ones(l: int) -> int:
+    """The int with byte 1 in each of its l bytes."""
+    return int.from_bytes(b"\x01" * l, "little")
 
 
 def _cond_add_packed(ctx, ext, x, y, l):
@@ -195,9 +195,8 @@ def _cond_add_packed(ctx, ext, x, y, l):
     npairs = len(pairs)
     span = 2 * npairs
     block = ctx.rand_block(span * l)
-    lanes = _LANES.get(l) or _LANES.setdefault(
-        l, int.from_bytes(b"\x01" * l, "little"))
-    e = [v * lanes for v in ext]
+    ones = _byte_ones(l)
+    e = [v * ones for v in ext]
     s = [xi ^ (yi & ei) for xi, yi, ei in zip(x, y, e)]
     for p, (i, j) in enumerate(pairs):
         r = (int.from_bytes(block[p::span], "little")

@@ -6,9 +6,11 @@ generator: output t depends only on the seed plus t*gamma. The tape
 computes the top bytes of its next outputs ahead, in one wide int pass
 per refill, and draws of up to 8 bits (draw, draw_nonzero, draw_block)
 read them in order; the look-ahead starts short and doubles up to a
-fixed cap. A cap-sized refill that follows another one gets its lane
-states by adding cap*gamma to the last ones, not by multiplying the
-start state out again. Its _state is the state that one scalar
+fixed cap. Each refill is rounded up to a power of two, whose lane
+constants are built once, on first use, and cached for every tape. A
+cap-sized refill that follows another one gets its lane states by
+adding the cached cap*gamma step to the last ones, not by multiplying
+the start state out again. Its _state is the state that one scalar
 SplitMix64 step per draw would have left, so equal _state means equal
 draws from there on.
 
@@ -18,6 +20,8 @@ fixed list of values, the other records the draw schedule of a run.
 
 from __future__ import annotations
 
+from functools import cache
+
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -26,7 +30,8 @@ DEFAULT_SEED = 0x243F6A8885A308D3
 # A SeededTape computes its next outputs ahead of use, in one wide pass
 # per refill: the first refill looks _AHEAD_FIRST draws ahead, each later
 # one twice as far as the last, up to _AHEAD_CAP, which bounds the buffer
-# and the lane constants that look-ahead alone makes a tape hold.
+# that look-ahead alone makes a tape hold. A refill is rounded up to a
+# power of two, so _lane_constants caches one entry per power of two.
 _AHEAD_FIRST = 32
 _AHEAD_CAP = 1024
 
@@ -34,32 +39,22 @@ _AHEAD_CAP = 1024
 # times a 64-bit constant fits its slot, so no carry crosses lanes.
 # A lane's byte 7 is its top 8 bits; a w-bit draw keeps the top w of them.
 _TOP_BITS = tuple(bytes(v >> (8 - w) for v in range(256)) for w in range(9))
-# Lane constants of the largest block so far: count, ones, 64-bit masks
-# and the gamma ramp (lane t holds (t+1)*gamma mod 2^64). Smaller blocks
-# shift them down, so the cache never holds more than one block's size.
-_lanes = [0, 0, 0, 0]
 
 
+@cache
 def _lane_constants(count: int):
-    top, ones, mask, ramp = _lanes
-    if count > top:
-        ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
-        mask = ones * _M64
-        ramp = int.from_bytes(b"".join(
-            ((t * _GAMMA) & _M64).to_bytes(16, "little")
-            for t in range(1, count + 1)), "little")
-        _lanes[:] = count, ones, mask, ramp
-    elif count < top:
-        drop = (top - count) << 7
-        ones >>= drop
-        mask >>= drop
-    return ones, mask, ramp
+    """The constants of a count-lane refill, count a power of two.
 
-
-# Every cap-lane slot holding cap*gamma mod 2^64: added to the lanes of
-# one cap-sized refill, it gives the lanes of the refill that follows.
-_CAP_STEP = ((_AHEAD_CAP * _GAMMA) & _M64) * int.from_bytes(
-    (1).to_bytes(16, "little") * _AHEAD_CAP, "little")
+    ones has 1 in every lane, mask the lanes' low 64 bits, ramp holds
+    (t+1)*gamma mod 2^64 in lane t, and step count*gamma in every lane:
+    added to the states of one count-lane refill, it gives those of the
+    refill that follows.
+    """
+    ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
+    ramp = int.from_bytes(b"".join(
+        ((t * _GAMMA) & _M64).to_bytes(16, "little")
+        for t in range(1, count + 1)), "little")
+    return ones, ones * _M64, ramp, ((count * _GAMMA) & _M64) * ones
 
 
 def _top_bytes(z: int, mask: int, count: int) -> bytes:
@@ -84,12 +79,12 @@ class SeededTape:
     """Counter-based deterministic source of uniform w-bit draws.
 
     Draws of up to 8 bits read a buffer of the top bytes of the next
-    outputs, filled ahead in one wide pass; the look-ahead doubles on
-    each refill up to _AHEAD_CAP, so a short-lived tape computes little
-    it never reads. Back-to-back cap-sized refills step the kept lane
-    states of the last one on. spawn() and draws wider than 8 bits step
-    the scalar generator from the current position and drop the buffer
-    and the kept lane states.
+    outputs, filled ahead in one wide pass of a power-of-two lane count;
+    the look-ahead doubles on each refill up to _AHEAD_CAP, so a
+    short-lived tape computes little it never reads. Back-to-back
+    cap-sized refills step the kept lane states of the last one on.
+    spawn() and draws wider than 8 bits step the scalar generator from
+    the current position and drop the buffer and the kept lane states.
 
     _state is the SplitMix64 state that scalar draws would have left:
     the state before the buffer plus gamma per buffered draw read. What
@@ -121,16 +116,15 @@ class SeededTape:
         rest = self._buf[self._pos:]
         ahead = self._ahead
         self._ahead = min(ahead << 1, _AHEAD_CAP)
-        size = max(count - len(rest), ahead)
-        ones, mask, ramp = _lane_constants(size)
+        size = 1 << (max(count - len(rest), ahead) - 1).bit_length()
+        ones, mask, ramp, step = _lane_constants(size)
         z = self._states
         if z is not None and size == _AHEAD_CAP:
             # the last refill was cap-sized too and ended where this one
             # starts: step its lanes on instead of multiplying out anew
-            z = (z + _CAP_STEP) & mask  # each lane sum stays below 2^65
+            z = (z + step) & mask  # each lane sum stays below 2^65
         else:
             after = (self._base + len(self._buf) * _GAMMA) & _M64
-            # the mask also drops the unused lanes of a longer ramp
             z = (after * ones + ramp) & mask
         self._states = z if size == _AHEAD_CAP else None
         self._base = self._state

@@ -519,6 +519,65 @@ class TestSelftest:
         assert "suite gf" in out and "FAIL" in out and "seeded failure" in out
 
 
+class TestUnreadFlags:
+    # each used to exit 0 with the output of the run without the flag
+    @pytest.mark.parametrize("argv, flag", [
+        (("solve", "--in", "FILE", "--count", "5"), "--count"),
+        (("solve", "--in", "FILE", "--q", "256"), "--q"),
+        (("solve", "--in", "FILE", "--m", "9"), "--m"),
+        (("solve", "--random", "--compare", "--unmasked"), "--unmasked"),
+        (("solve", "--random", "--unmasked", "--shares", "3"), "--shares"),
+        (("solve", "--in", "FILE", "--unmasked", "--seed", "5"), "--seed"),
+        (("cost-table", "--seed", "5"), "--seed"),
+        (("leakcheck", "--gadget", "refresh", "--w", "2", "--seed", "9"),
+         "--seed"),
+        (("--seed", "5", "leakcheck", "--gadget", "refresh"), "--seed"),
+        (("leakcheck", "--gadget", "refresh", "--seed", "0"), "--seed"),
+        (("solve", "--in", "FILE", "--q", "0"), "--q"),
+    ], ids=["in-count", "in-q", "in-m", "compare-unmasked",
+            "unmasked-shares", "in-unmasked-seed", "cost-table-seed",
+            "exhaustive-seed", "exhaustive-seed-first", "seed-zero",
+            "in-q-zero"])
+    def test_flag_the_run_never_reads_is_a_usage_error(
+            self, capsys, monkeypatch, sys_file, argv, flag):
+        from mge import probelab
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the flags were checked")
+
+        for name in ("_parse_system", "random_system", "masked_solve",
+                     "gaussian_elimination"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli.cm, "cost_table", no_work)
+        for name in ("exhaustive_first_order", "statistical_fixed_vs_random"):
+            monkeypatch.setattr(probelab, name, no_work)
+        path = sys_file({"q": 16, "m": 1, "A": [[1]], "b": [1]})
+        code, out, err = run(capsys, *(path if a == "FILE" else a
+                                       for a in argv))
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"{flag} has no effect on")
+
+    def test_env_seed_is_accepted_where_no_seed_is_read(self, capsys,
+                                                        monkeypatch):
+        for argv in (("leakcheck", "--gadget", "refresh", "--w", "2"),
+                     ("cost-table", "--schemes", "mayo-i")):
+            code, plain, _ = run(capsys, *argv)
+            monkeypatch.setenv("MGE_SEED", "9")
+            code_env, with_env, _ = run(capsys, *argv)
+            monkeypatch.delenv("MGE_SEED")
+            assert code == code_env == 0
+            assert with_env == plain
+
+    def test_unset_flags_take_their_defaults(self, capsys):
+        _, given, _ = run(capsys, "solve", "--random", "--count", "100",
+                          "--q", "16", "--m", "4", "--shares", "2")
+        _, default, _ = run(capsys, "solve", "--random")
+        assert default == given and len(default.splitlines()) == 100
+        code, out, _ = run(capsys, "solve", "--random", "--unmasked",
+                           "--count", "3", "--seed", "4")
+        assert code in (0, 2) and len(out.splitlines()) == 3
+
+
 class TestDeterminismAndSeed:
     def test_same_seed_same_bytes(self, capsys):
         argv = ["solve", "--random", "--count", "6", "--q", "256",

@@ -160,8 +160,8 @@ class TestTapes:
        st.integers(0, 600))
 def test_draw_block_equals_a_loop_of_draws(width, count, seed, before):
     block_tape, loop_tape = SeededTape(seed), SeededTape(seed)
-    # a block may follow blocks of other sizes: its lane constants are
-    # cut down from the largest block built so far
+    # a block may follow blocks of other sizes, whose lane constants
+    # are cached beside its own
     SeededTape(seed).draw_block(before, 8)
     assert block_tape.draw_block(count, width) == bytes(
         loop_tape.draw(width) for _ in range(count))
@@ -267,6 +267,35 @@ def test_back_to_back_cap_refills_equal_scalar_splitmix():
     assert blocks(4 * cap, 128) >= 2
     assert tape.draw(8) == ref.draw(8)
     assert tape._state == ref.state
+
+
+def test_interleaved_tapes_equal_scalar_splitmix():
+    # two live tapes and a spawned child refill in turn at different
+    # sizes, one above the cap, from the one cache of lane constants
+    cap = tape_mod._AHEAD_CAP
+    small, large = SeededTape(0xA11CE), SeededTape(0xB0B)
+    small_ref, large_ref = ScalarSplitMix(0xA11CE), ScalarSplitMix(0xB0B)
+    child = small.spawn()
+    child_ref = ScalarSplitMix(small_ref.next64())
+    stepped = 0
+    for _ in range(12):
+        had = small._states
+        assert small.draw_block(400, 8) == bytes(
+            small_ref.draw(8) for _ in range(400))
+        stepped += had is not None and small._states is not had
+        assert large.draw_block(cap + 300, 5) == bytes(
+            large_ref.draw(5) for _ in range(cap + 300))
+        assert [child.draw(3) for _ in range(70)] == [
+            child_ref.draw(3) for _ in range(70)]
+        for tape, ref in ((small, small_ref), (large, large_ref),
+                          (child, child_ref)):
+            assert tape._state == ref.state
+    assert stepped >= 1  # the cap-sized refills stepped their lanes on
+    assert large._states is None
+    for tape, ref in ((small, small_ref), (large, large_ref),
+                      (child, child_ref)):
+        assert tape.draw_nonzero(8) == ref.draw_nonzero(8)
+        assert tape.draw(64) == ref.draw(64)
 
 
 class TestSharing:
@@ -538,6 +567,50 @@ def test_untraced_refresh_gadgets_equal_traced(n, w):
         assert full_add(packed, x) == full_add(traced, x) == bool_unshare(x)
         assert packed.counters.snapshot() == traced.counters.snapshot()
         assert packed.rng._state == traced.rng._state
+
+
+# each unit gadget as a function of (ctx, x); the two-input ones get x twice
+_UNIT_GADGETS = {
+    "refresh": refresh, "strong_refresh": strong_refresh,
+    "full_add": full_add, "sec_not": sec_not, "sec_nonzero": sec_nonzero,
+    "b2m": b2m, "b2minv": b2minv,
+    "sec_mult": lambda ctx, x: sec_mult(ctx, x, x),
+    "sec_and": lambda ctx, x: sec_and(ctx, x, x),
+    "sec_or": lambda ctx, x: sec_or(ctx, x, x),
+}
+
+
+class TestShareCounts:
+    # a sharing with too many or too few shares used to run: at n = 2
+    # sec_mult([3, 5, 6], [7, 1, 2]) gave a sharing of 7 for a product
+    # of 0, and at n = 3 two shares raised a bare IndexError
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("n, count", [(2, 3), (3, 2), (3, 4)])
+    @pytest.mark.parametrize("gadget", sorted(_UNIT_GADGETS))
+    def test_wrong_share_count_rejected_before_any_draw(self, gadget, n,
+                                                        count, traced):
+        ctx = MaskingContext(F16, n, seed=0x5EED)
+        ctx.trace = [] if traced else None
+        counters, state = ctx.counters.snapshot(), ctx.rng._state
+        with pytest.raises(masking.LengthMismatch, match=f"expected {n}"):
+            _UNIT_GADGETS[gadget](ctx, [3, 5, 6, 1][:count])
+        assert ctx.counters.snapshot() == counters
+        assert ctx.rng._state == state
+        assert not ctx.trace
+
+    @pytest.mark.parametrize("gadget", [sec_mult, sec_and, sec_or])
+    def test_either_operand_is_checked(self, gadget):
+        ctx = MaskingContext(F16, 2, seed=3)
+        state = ctx.rng._state
+        for x, y in (([3, 5, 6], [7, 1]), ([3, 5], [7, 1, 2])):
+            with pytest.raises(masking.LengthMismatch):
+                gadget(ctx, x, y)
+        assert ctx.counters.snapshot() == (0, 0, 0)
+        assert ctx.rng._state == state
+
+    def test_rowops_reexports_the_masking_error(self):
+        from mge import rowops
+        assert rowops.LengthMismatch is masking.LengthMismatch
 
 
 class TestTraceShapes:
