@@ -10,8 +10,11 @@ Exit codes: 0 ok, 1 usage/IO/mismatch, 2 singular, 3 table mismatch,
 4 leak fail, 5 selftest fail. Output is byte-stable for a fixed seed;
 bench timing fields are suppressed with --no-timing. The seed comes
 from --seed, else the MGE_SEED environment variable, else a fixed
-default. A flag the chosen run never reads, --seed included, exits 1
-before any work starts (_unread_flags).
+default; a run that reads no seed does not resolve one, so a malformed
+MGE_SEED fails only the runs that draw. A flag the chosen run never
+reads, --seed included, exits 1 before any work starts (_unread_flags),
+and so does a value out of range, before any import, file read or
+system generation.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .masking import (
     SeededTape,
     bool_share,
     bool_unshare,
+    check_share_count,
 )
 from . import masking as _mk
 from .linalg import (
@@ -79,6 +83,8 @@ def _parse_system(path: str) -> LinearSystem:
 
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
+    if not cfg.unmasked:
+        check_share_count(cfg.n)
     if cfg.in_path is not None:
         systems = [_parse_system(cfg.in_path)]
     else:
@@ -87,8 +93,9 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
         systems = [random_system(fieldspec, cfg.m, rng, invertible=False)
                    for _ in range(cfg.count)]
 
-    # one child tape per system: no two systems share mask randomness
-    tapes = SeededTape(cfg.seed)
+    # one child tape per system: no two systems share mask randomness;
+    # an --unmasked solve of an --in file has no seed to build them from
+    tapes = None if cfg.unmasked else SeededTape(cfg.seed)
     if cfg.compare:
         matches = 0
         for sysm in systems:
@@ -160,8 +167,8 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
               "statistical campaign", file=sys.stderr)
         return EXIT_USAGE
     mode = cfg.mode or ("statistical" if cfg.pipeline else "exhaustive")
-    from . import probelab as pl  # numpy loads only for the commands that probe
     fieldspec = field_new(cfg.w)
+    check_share_count(cfg.n)
     if not (math.isfinite(cfg.threshold) and cfg.threshold > 0):
         # at or below 0 every point would be flagged, at nan or inf none
         print(f"--threshold must be a finite number above 0, got "
@@ -172,6 +179,7 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
         print(f"--samples must be at least 4, got {cfg.samples}",
               file=sys.stderr)
         return EXIT_USAGE
+    from . import probelab as pl  # numpy loads only for the commands that probe
     if cfg.pipeline:
         target = cfg.pipeline.replace("-", "_")
         verdicts = pl.statistical_fixed_vs_random(
@@ -664,8 +672,9 @@ _DEFAULTS = {"count": 100, "q": 16, "m": 4, "n": 2, "samples": 20000,
 
 
 def _unread_flags(cfg: argparse.Namespace) -> dict:
-    """The given flags that the chosen run never reads, each mapped to
-    that run. MGE_SEED is no flag, and no run refuses it."""
+    """The flags that the chosen run never reads, given or not, each
+    mapped to that run. MGE_SEED is no flag, and no run refuses it; a
+    run that never reads --seed does not resolve MGE_SEED either."""
     unread = {}
     if cfg.command == "solve":
         if cfg.in_path is not None:
@@ -684,9 +693,7 @@ def _unread_flags(cfg: argparse.Namespace) -> dict:
             for flag in ("--samples", "--threshold", "--seed"):
                 unread[flag] = "an exhaustive check"
         unread["--m"] = "a --gadget check: it sizes a --pipeline system"
-    dest = {"--shares": "n"}
-    return {flag: run for flag, run in unread.items()
-            if getattr(cfg, dest.get(flag, flag[2:])) is not None}
+    return unread
 
 
 def main(argv=None) -> int:
@@ -696,14 +703,17 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     # a flag the chosen run never reads is refused, not dropped
-    for flag, run in _unread_flags(ns).items():
-        print(f"{flag} has no effect on {run}", file=sys.stderr)
-        return EXIT_USAGE
+    unread = _unread_flags(ns)
+    for flag, run in unread.items():
+        if getattr(ns, {"--shares": "n"}.get(flag, flag[2:])) is not None:
+            print(f"{flag} has no effect on {run}", file=sys.stderr)
+            return EXIT_USAGE
     for key, value in _DEFAULTS.items():
         if getattr(ns, key, value) is None:
             setattr(ns, key, value)
     try:
-        ns.seed = _resolve_seed(ns.seed)
+        if "--seed" not in unread:
+            ns.seed = _resolve_seed(ns.seed)
         handler = {
             "solve": cmd_solve,
             "cost-table": cmd_cost_table,

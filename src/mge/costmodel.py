@@ -4,11 +4,10 @@ GADGET_SPECS declares every gadget once: its callable, input kinds,
 closed forms and the probing lab's default secrets. No path charges
 randomness from a form: MaskingContext charges each draw and its bits
 as it is made, and each gadget counts every op it executes, one per
-uniform draw included. Every bit form therefore lives in this table, as
-do the op forms that gadgets count as they execute. Two kinds of form are declared
-beside their code and referenced here: the row kernels' op forms
-(mge.rowops), which those kernels charge, and sec_nonzero's
-(mge.masking), which its alignment reads. A composite's form sums its
+uniform draw included. Every closed form lives in this table, and two
+places read it at run time: the packed row kernels (mge.rowops) charge
+their op forms from it, and sec_nonzero's alignment (mge.masking) adds
+its forms minus what its fold executes. A composite's form sums its
 parts'. t_cost / r_cost return the forms in exact integer arithmetic.
 
 ech_phases declares the elimination's cost once, one row per phase of
@@ -39,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from operator import sub
 
 from .gf import field_new
@@ -48,8 +48,6 @@ from .masking import (
     b2minv,
     bool_share,
     full_add,
-    nonzero_bits,
-    nonzero_ops,
     refresh,
     sec_and,
     sec_mult,
@@ -59,15 +57,7 @@ from .masking import (
     strong_refresh,
 )
 from .linalg import random_system, sec_back_sub, sec_row_ech, share_system
-from .rowops import (
-    cond_add_ops,
-    mult_sub_ops,
-    row_share,
-    scalar_mult_ops,
-    sec_cond_add,
-    sec_mult_sub,
-    sec_scalar_mult,
-)
+from .rowops import row_share, sec_cond_add, sec_mult_sub, sec_scalar_mult
 
 OPS_DIVISOR = 8192
 RAND_DIVISOR = 1000
@@ -193,9 +183,12 @@ GADGET_SPECS = (
                t=lambda n, l, w: 1, r=lambda n, l, w: 0),
     GadgetSpec("sec_or", sec_or, ("bool", "bool"),
                t=lambda n, l, w: 2 * n + _isw_ops(n, l, w) + 1, r=_pair_bits),
+    # L = ceil(log2(w+1)) fold levels, which is w.bit_length() for w >= 1
     GadgetSpec("sec_nonzero", sec_nonzero, ("bool",),
-               t=lambda n, l, w: nonzero_ops(n, w),
-               r=lambda n, l, w: nonzero_bits(n, w), needs_w=True,
+               t=lambda n, l, w: (5 * n * n + 2 * n - 1
+                                  + w.bit_length() * (5 * n * n - n + 2)),
+               r=lambda n, l, w: comb(w.bit_length(), 2) * (n * n - n),
+               needs_w=True,
                secrets=_each((0, 1, 2, 4, 5, 7, 8, 0xA, 0xF))),
     GadgetSpec("b2m", b2m, ("nonzero",),
                t=lambda n, l, w: (5 * n * n - 7 * n + 4) // 2,
@@ -204,19 +197,20 @@ GADGET_SPECS = (
                t=lambda n, l, w: t_cost("b2m", n) + n, r=_pair_bits,
                secrets=_NZ),
     GadgetSpec("sec_cond_add", sec_cond_add, ("bit", "row", "row"),
-               t=lambda n, l, w: cond_add_ops(n, l),
+               t=lambda n, l, w: (5 * n * n - 3 * n) * l,
                r=lambda n, l, w: l * (r_cost("sec_and", n, w=w)
                                       + r_cost("strong_refresh", n, w=w)),
                secrets=((0, 0, 0), (1, 0, 0), (0, 5, 9), (1, 5, 9),
                         (1, 0xF, 0xF), (0, 1, 0xF), (1, 0, 7), (1, 1, 1),
                         (0, 0xA, 3))),
     GadgetSpec("sec_scalar_mult", sec_scalar_mult, ("mult", "row"),
-               t=lambda n, l, w: scalar_mult_ops(n, l),
+               # scaling charges per coefficient what conditional addition does
+               t=lambda n, l, w: t_cost("sec_cond_add", n, l),
                r=lambda n, l, w: l * n * r_cost("refresh", n, w=w),
                secrets=((1, 0), (1, 5), (2, 0), (2, 9), (0xF, 0xF), (3, 1),
                         (7, 0xA), (5, 5))),
     GadgetSpec("sec_mult_sub", sec_mult_sub, ("bool", "row", "row"),
-               t=lambda n, l, w: mult_sub_ops(n, l),
+               t=lambda n, l, w: (7 * n * n - 3 * n) // 2 * l,
                r=lambda n, l, w: l * r_cost("sec_mult", n, w=w),
                secrets=((0, 0, 0), (1, 1, 1), (0, 5, 9), (2, 7, 3),
                         (0xF, 0xF, 0xF), (5, 0, 0xA), (8, 2, 0), (1, 0xF, 0),

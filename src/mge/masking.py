@@ -26,9 +26,8 @@ counts levels as ceil(log2(w+1))) that its plan, cached per (n, w),
 holds. Alignment can subtract a few bits, so counters are meant to be
 read at gadget boundaries.
 
-The forms of nonzero_ops and nonzero_bits live here, beside that
-alignment; every other form lives in mge.costmodel's table or, for the
-op counts that the row kernels charge, in mge.rowops.
+Every closed form lives in mge.costmodel's table; sec_nonzero's plan
+reads its forms from there to compute that alignment.
 
 Pair order. The pairwise gadgets (strong_refresh, the ISW products,
 sec_nonzero's fold and the row kernels) draw one random per share pair,
@@ -110,8 +109,7 @@ class MaskingContext:
 
     def __init__(self, field: FieldSpec, n: int, seed: int | None = None,
                  tape=None):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"need at least 2 shares, got {n!r}")
+        check_share_count(n)
         self.field = field
         self.n = n
         self.rng = tape if tape is not None else SeededTape(
@@ -153,6 +151,12 @@ class MaskingContext:
         self.trace.append(value)
         if self.trace_labels is not None:
             self.trace_labels.append(label)
+
+
+def check_share_count(n) -> None:
+    """Raise ValueError unless n is a share count a context accepts."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need at least 2 shares, got {n!r}")
 
 
 # ---------------------------------------------------------------- sharing
@@ -382,25 +386,6 @@ def sec_or(ctx: MaskingContext, x: list[int], y: list[int],
 # ------------------------------------------------------------- predicates
 
 
-def _ceil_log2(v: int) -> int:
-    return (v - 1).bit_length()
-
-
-# The closed forms of sec_nonzero count L = ceil(log2(w+1)) fold levels;
-# both executions align their totals to them, and mge.costmodel
-# tabulates them.
-
-
-def nonzero_ops(n: int, w: int) -> int:
-    big_l = _ceil_log2(w + 1)
-    return (5 * n * n + 2 * n - 1) + big_l * (5 * n * n - n + 2)
-
-
-def nonzero_bits(n: int, w: int) -> int:
-    big_l = _ceil_log2(w + 1)
-    return (big_l * big_l - big_l) // 2 * (n * n - n)
-
-
 def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Shared bit (x != 0) by OR-folding halves of the padded width.
 
@@ -446,9 +431,11 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
 # executes to the closed form, and the ops an untraced fold executes; per
 # fold level the half width, its mask in every share's byte and in share
 # 0's; per share pair (i, j) the int with bytes i and j set to 1; the
-# shifts 8d that line share i + d up with share i, d = 1..n-1.
+# shifts 8d that line share i + d up with share i, d = 1..n-1. The forms
+# come from mge.costmodel, imported on first use: it imports this module.
 @cache
 def _nonzero_plan(n, w):
+    from .costmodel import r_cost, t_cost
     padded = 1 << (w - 1).bit_length() if w > 1 else 1
     every = int.from_bytes(b"\x01" * n, "little")
     levels = []
@@ -460,8 +447,8 @@ def _nonzero_plan(n, w):
     spreads = tuple((1 << 8 * i) | (1 << 8 * j) for i, j in share_pairs(n))
     # per level a strong_refresh and a sec_or, after the charged copy
     run_ops = n + len(levels) * (5 * n * n - 2 * n + 1)
-    return (nonzero_ops(n, w) - run_ops,
-            nonzero_bits(n, w) - (n * n - n) * (padded - 1),
+    return (t_cost("sec_nonzero", n, w=w) - run_ops,
+            r_cost("sec_nonzero", n, w=w) - (n * n - n) * (padded - 1),
             run_ops, tuple(levels), spreads, tuple(range(8, 8 * n, 8)))
 
 

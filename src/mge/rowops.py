@@ -24,8 +24,9 @@ row_share has one body on both paths; traced, it also emits its draws.
 
 Charging. As everywhere, the context charges the draws and bits of
 every block and each gadget counts every op it executes, one per draw
-included: the kernels charge the op forms declared here, and the bit
-forms live in mge.costmodel's table, which no path charges from.
+included. Every form lives in mge.costmodel's table, and the kernels
+charge their op forms from it through _ops_form; bits are charged only
+by the context, as they are drawn.
 
 Live tails (mge.linalg): a row holds the columns it has left; row_head
 reads the shares of its coefficient 0 and row_drop removes it.
@@ -95,21 +96,16 @@ def _mul_table(field, c: int) -> bytes:
     return field.products[c << 8:(c + 1) << 8]
 
 
-# Op forms of the row gadgets for n shares and row length l: the packed
-# paths charge them, and the scalar paths' executed counts equal them;
-# mge.costmodel tabulates them beside the bit forms.
+@cache
+def _ops_form(gadget: str, n: int, l: int) -> int:
+    """t_cost(gadget, n, l), the op form a packed kernel charges; the
+    scalar path's executed count equals it.
 
-
-def cond_add_ops(n: int, l: int) -> int:
-    return (5 * n * n - 3 * n) * l
-
-
-# scaling charges per coefficient what conditional addition does
-scalar_mult_ops = cond_add_ops
-
-
-def mult_sub_ops(n: int, l: int) -> int:
-    return (7 * n * n - 3 * n) // 2 * l
+    mge.costmodel imports this module for its callables, so its t_cost
+    is imported here, on first use, not at the top of the module.
+    """
+    from .costmodel import t_cost
+    return t_cost(gadget, n, l)
 
 
 def row_share(ctx: MaskingContext, values: list[int]) -> PackedRow:
@@ -203,7 +199,7 @@ def _cond_add_packed(ctx, ext, x, y, l):
              ^ int.from_bytes(block[npairs + p::span], "little"))
         s[i] ^= r
         s[j] ^= r ^ (y[i] & e[j]) ^ (y[j] & e[i])
-    ctx.counters.ops += cond_add_ops(n, l)
+    ctx.counters.ops += _ops_form("sec_cond_add", n, l)
     return PackedRow(s, l)
 
 
@@ -253,7 +249,7 @@ def _scalar_mult_packed(ctx, p, x, l):
             r = int.from_bytes(block[base + i - 1:base + stride:per], "little")
             v[0] ^= r
             v[i] ^= r
-    ctx.counters.ops += scalar_mult_ops(n, l)
+    ctx.counters.ops += _ops_form("sec_scalar_mult", n, l)
     return PackedRow(v, l)
 
 
@@ -304,5 +300,5 @@ def _mult_sub_packed(ctx, factor, row, base, l):
         # r is added first, as in masking._isw
         z[j] ^= ((r ^ ((wide[i] >> (bits * j)) & lane))
                  ^ ((wide[j] >> (bits * i)) & lane))
-    ctx.counters.ops += mult_sub_ops(n, l)
+    ctx.counters.ops += _ops_form("sec_mult_sub", n, l)
     return PackedRow(z, l)

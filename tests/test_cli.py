@@ -28,6 +28,32 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_FRESH_LEAKCHECKS = (
+    "import contextlib, io, json, sys\n"
+    "from mge.cli import main\n"
+    "runs = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), "
+    "contextlib.redirect_stderr(err):\n"
+    "        code = main(['leakcheck', *argv])\n"
+    "    runs.append([code, out.getvalue(), err.getvalue(),\n"
+    "                 'mge.probelab' in sys.modules])\n"
+    "print(json.dumps(runs))\n")
+
+
+def fresh_leakchecks(argvs):
+    """(exit code, stdout, stderr, probelab imported) of each leakcheck
+    argv, run in turn by one fresh interpreter."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_LEAKCHECKS, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestSolve:
     def test_identity_system(self, capsys, sys_file):
         path = sys_file({
@@ -150,6 +176,25 @@ class TestSolve:
                              "--compare")
         assert code == cli.EXIT_USAGE
         assert out == "" and "--count" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--random", "--count", "200000", "--m", "6", "--shares", "1"),
+        ("--random", "--compare", "--shares", "1"),
+        ("--in", "FILE", "--shares", "0")])
+    def test_shares_below_two_is_refused_before_any_system(
+            self, capsys, monkeypatch, sys_file, argv):
+        # a --random batch used to be generated in full before this failed
+        def no_system(*args, **kwargs):
+            raise AssertionError("read or built a system before --shares "
+                                 "was checked")
+
+        monkeypatch.setattr(cli, "random_system", no_system)
+        monkeypatch.setattr(cli, "_parse_system", no_system)
+        path = sys_file({"q": 16, "m": 1, "A": [[1]], "b": [1]})
+        code, out, err = run(capsys, "solve", *(path if a == "FILE" else a
+                                                for a in argv))
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err == f"error: need at least 2 shares, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -333,30 +378,29 @@ class TestLeakcheck:
                                   "exhaustive", "--threshold", "2"]),
                  ("--m", ["--gadget", "refresh", "--mode", "statistical",
                           "--m", "9"])]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "from mge.cli import main\n"
-            "runs = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    out, err = io.StringIO(), io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out), "
-            "contextlib.redirect_stderr(err):\n"
-            "        code = main(['leakcheck', *argv])\n"
-            "    runs.append([code, out.getvalue(), err.getvalue(),\n"
-            "                 'mge.probelab' in sys.modules])\n"
-            "print(json.dumps(runs))\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run(
-            [sys.executable, "-c", script,
-             json.dumps([argv for _, argv in cases])],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
         for (flag, argv), (code, out, err, imported) in zip(
-                cases, json.loads(proc.stdout)):
+                cases, fresh_leakchecks([argv for _, argv in cases])):
             assert code == cli.EXIT_USAGE, argv
             assert out == "", argv
             assert err.startswith(flag), argv
+            assert not imported, argv
+
+    def test_value_out_of_range_is_refused_before_probelab_loads(self):
+        # each used to import probelab, and numpy, before it exited 1
+        refresh = ["--gadget", "refresh"]
+        statistical = [*refresh, "--mode", "statistical"]
+        cases = [([*refresh, "--shares", "1"],
+                  "error: need at least 2 shares, got 1\n"),
+                 ([*refresh, "--w", "0"],
+                  "error: w must be an int in 1..8, got 0\n"),
+                 ([*statistical, "--threshold", "0"],
+                  "--threshold must be a finite number above 0, got 0.0\n"),
+                 ([*statistical, "--samples", "2"],
+                  "--samples must be at least 4, got 2\n")]
+        for (argv, message), (code, out, err, imported) in zip(
+                cases, fresh_leakchecks([argv for argv, _ in cases])):
+            assert code == cli.EXIT_USAGE, argv
+            assert (out, err) == ("", message), argv
             assert not imported, argv
 
     def test_unknown_gadget_exit_1(self, capsys):
@@ -558,15 +602,20 @@ class TestUnreadFlags:
         assert err.startswith(f"{flag} has no effect on")
 
     def test_env_seed_is_accepted_where_no_seed_is_read(self, capsys,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        sys_file):
+        # a malformed MGE_SEED used to fail each of these with exit 1
+        path = sys_file({"q": 16, "m": 1, "A": [[1]], "b": [1]})
         for argv in (("leakcheck", "--gadget", "refresh", "--w", "2"),
-                     ("cost-table", "--schemes", "mayo-i")):
+                     ("cost-table", "--schemes", "mayo-i"),
+                     ("solve", "--in", path, "--unmasked")):
             code, plain, _ = run(capsys, *argv)
-            monkeypatch.setenv("MGE_SEED", "9")
-            code_env, with_env, _ = run(capsys, *argv)
-            monkeypatch.delenv("MGE_SEED")
-            assert code == code_env == 0
-            assert with_env == plain
+            for env in ("9", "abc"):
+                monkeypatch.setenv("MGE_SEED", env)
+                code_env, with_env, err = run(capsys, *argv)
+                monkeypatch.delenv("MGE_SEED")
+                assert code == code_env == 0, (argv, env)
+                assert with_env == plain and err == "", (argv, env)
 
     def test_unset_flags_take_their_defaults(self, capsys):
         _, given, _ = run(capsys, "solve", "--random", "--count", "100",
@@ -608,11 +657,21 @@ class TestDeterminismAndSeed:
         _, out_b, _ = run(capsys, *base, "--seed", "9")
         assert out_a == out_b
 
-    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch,
+                                           sys_file):
         monkeypatch.setenv("MGE_SEED", "abc")
         code, out, err = run(capsys, "selftest")
         assert code == 1 and out == ""
         assert err == "error: MGE_SEED must be an integer, got 'abc'\n"
+        # so does every other run that reads a seed
+        path = sys_file({"q": 16, "m": 1, "A": [[1]], "b": [1]})
+        for argv in (("solve", "--in", path),
+                     ("solve", "--random", "--unmasked", "--count", "1"),
+                     ("leakcheck", "--gadget", "refresh", "--mode",
+                      "statistical", "--samples", "4")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err == "error: MGE_SEED must be an integer, got 'abc'\n"
 
     def test_seed_position_is_flexible(self, capsys):
         _, out_a, _ = run(capsys, "--seed", "31", "solve", "--random",

@@ -2,7 +2,11 @@
 agreement between instrumented runs and the printed formulas."""
 
 import importlib
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,9 @@ import pytest
 from mge import costmodel as cm
 from mge.gf import field_new
 from mge.linalg import masked_solve, random_system
-from mge.masking import DomainTape, MaskingContext
+from mge.masking import (DomainTape, MaskingContext, b2m, bool_share,
+                         sec_nonzero)
+from mge.rowops import row_share, sec_cond_add, sec_mult_sub, sec_scalar_mult
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -239,6 +245,91 @@ class TestCounterAgreement:
             slices = (m * m + 3 * m) // 2
             assert cm.tabulated_pipeline_ops(n, m, 8) == (
                 cm.t_cost("pipeline", n, m, w=8) - slices * (n * n - n))
+
+
+# runs each packed kernel and untraced sec_nonzero once at n = 3, w = 8,
+# l = 5, and prints what each charged, whether costmodel was loaded
+# before the first charge, whether numpy is loaded, and the table's forms
+_CHARGES_SCRIPT = """\
+import json, sys
+from mge.gf import field_new
+from mge.masking import MaskingContext, b2m, bool_share, sec_nonzero
+from mge.rowops import row_share, sec_cond_add, sec_mult_sub, sec_scalar_mult
+ctx = MaskingContext(field_new(8), 3, seed=7)
+b = bool_share(ctx, 1)
+x = row_share(ctx, [1, 2, 3, 4, 5])
+y = row_share(ctx, [9, 8, 7, 6, 5])
+p = b2m(ctx, bool_share(ctx, 3))
+v = bool_share(ctx, 5)
+loaded_early = "mge.costmodel" in sys.modules
+ran = {}
+for name, run in (("sec_cond_add", lambda: sec_cond_add(ctx, b, x, y)),
+                  ("sec_scalar_mult", lambda: sec_scalar_mult(ctx, p, x)),
+                  ("sec_mult_sub", lambda: sec_mult_sub(ctx, b, x, y)),
+                  ("sec_nonzero", lambda: sec_nonzero(ctx, v))):
+    before = ctx.counters.snapshot()
+    run()
+    after = ctx.counters.snapshot()
+    ran[name] = [after[0] - before[0], after[2] - before[2]]
+numpy = "numpy" in sys.modules
+from mge import costmodel as cm
+want = {g: [cm.t_cost(g, 3, 5), cm.r_cost(g, 3, 5, w=8)] for g in ran
+        if g != "sec_nonzero"}
+want["sec_nonzero"] = [cm.t_cost("sec_nonzero", 3, w=8),
+                       cm.r_cost("sec_nonzero", 3, w=8)]
+print(json.dumps([loaded_early, numpy, ran, want]))
+"""
+
+
+class TestRunTimeChargesReadTheTable:
+    """The packed kernels and sec_nonzero's alignment charge the forms of
+    GADGET_SPECS, and no other declaration of them exists."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("l", [1, 2, 10, 45])
+    def test_packed_kernels(self, n, l):
+        ctx = MaskingContext(field_new(8), n, seed=0x3C)
+        rng = random.Random(n * 100 + l)
+        b = bool_share(ctx, 1)
+        x = row_share(ctx, [rng.randrange(256) for _ in range(l)])
+        y = row_share(ctx, [rng.randrange(256) for _ in range(l)])
+        p = b2m(ctx, bool_share(ctx, 3))
+        for gadget, run in (
+                ("sec_cond_add", lambda: sec_cond_add(ctx, b, x, y)),
+                ("sec_scalar_mult", lambda: sec_scalar_mult(ctx, p, x)),
+                ("sec_mult_sub", lambda: sec_mult_sub(ctx, b, x, y))):
+            before = ctx.counters.snapshot()
+            run()
+            after = ctx.counters.snapshot()
+            assert (after[0] - before[0], after[2] - before[2]) == (
+                cm.t_cost(gadget, n, l), cm.r_cost(gadget, n, l, w=8)), gadget
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_untraced_sec_nonzero(self, n, w):
+        ctx = MaskingContext(field_new(w), n, seed=0x3D)
+        for v in {0, 1, (1 << w) - 1}:
+            x = bool_share(ctx, v)
+            before = ctx.counters.snapshot()
+            sec_nonzero(ctx, x)
+            after = ctx.counters.snapshot()
+            assert (after[0] - before[0], after[2] - before[2]) == (
+                cm.t_cost("sec_nonzero", n, w=w),
+                cm.r_cost("sec_nonzero", n, w=w)), v
+
+    def test_a_fresh_interpreter_loads_the_table_on_first_charge(self):
+        # mge.costmodel imports mge.rowops and mge.masking, so they read
+        # it on first use; this covers that import without numpy
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", _CHARGES_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded_early, numpy, ran, want = json.loads(proc.stdout)
+        assert not loaded_early
+        assert not numpy
+        assert ran == want
 
 
 def _nonzero_alignment_bits(n, w):
