@@ -518,3 +518,203 @@ class TestSummary:
         s = pl.leak_summary(verdicts)
         assert set(s) == {"points", "failed", "worst_statistic", "pass"}
         assert s["points"] == 4 and s["failed"] == 0
+
+
+def watch_tables(monkeypatch, budget):
+    """Give the vector table `budget` bytes. Returns a list that gets,
+    after every add and before every flush of a table, its counted
+    bytes, its bytes summed from its contents, and its stored vectors."""
+    states = []
+
+    class Watched(pl._VectorCounts):
+        def state(self):
+            held = (sum(map(len, self._slots))
+                    + sum(h.nbytes for h in self._hists) + 8 * len(self._codes))
+            states.append((self.nbytes, held, len(self._hists)))
+
+        def add(self, trace, lanes, counts):
+            super().add(trace, lanes, counts)
+            self.state()
+
+        def flush(self, counts):
+            self.state()
+            super().flush(counts)
+
+    monkeypatch.setattr(pl, "_VectorCounts", Watched)
+    monkeypatch.setattr(pl, "TABLE_BYTES", budget)
+    return states
+
+
+def one_vector_budget(want, q):
+    """A budget that holds one vector of a full chunk with its histogram
+    and one slot, but not two: each new vector flushes and empties the
+    table. want is the oracle's counts, whose point 0 counts every run."""
+    runs = sum(c for (p, _), c in want[0].items() if p == 0)
+    return min(runs, pl.LANE_CHUNK) + 8 * q + 8
+
+
+class TestVectorTable:
+    @pytest.mark.parametrize("name, n", [(name, 2) for name in pl.gadget_names()]
+                             + [(name, 3) for name in UNIT_GADGETS])
+    def test_histograms_equal_the_scalar_loop_at_one_vector(self, monkeypatch,
+                                                            name, n):
+        want = scalar_histograms_f4(name, n)
+        budget = one_vector_budget(want, F4.q)
+        states = watch_tables(monkeypatch, budget)
+        assert lane_histograms(name, F4, n) == want
+        assert states and all(b == held <= budget and stored <= 1
+                              for b, held, stored in states)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("name, n", [("sec_mult", 3), ("sec_cond_add", 2)])
+    def test_any_chunk_size_at_one_vector(self, monkeypatch, name, n, chunk):
+        want = scalar_histograms_f4(name, n)
+        monkeypatch.setattr(pl, "LANE_CHUNK", chunk)
+        budget = one_vector_budget(want, F4.q)
+        states = watch_tables(monkeypatch, budget)
+        assert lane_histograms(name, F4, n) == want
+        assert states and all(b == held <= budget for b, held, _ in states)
+
+    def test_a_budget_below_one_vector_counts_each_point_alone(self,
+                                                               monkeypatch):
+        want = scalar_histograms_f4("sec_cond_add", 2)
+        states = watch_tables(monkeypatch, 0)
+        assert lane_histograms("sec_cond_add", F4, 2) == want
+        assert states and all(state == (0, 0, 0) for state in states)
+
+    def test_one_bincount_per_distinct_vector(self, monkeypatch):
+        spec = pl.lookup("sec_cond_add")
+        distinct, points = set(), []
+
+        def run(ctx, *args):
+            out = spec.run(ctx, *args)
+            if isinstance(ctx.rng, ReplayTape):
+                distinct.update(v.tobytes() for v in ctx.trace)
+                points.append(len(ctx.trace))
+            return out
+
+        calls = []
+        bincount = np.bincount
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setitem(pl.REGISTRY, "sec_cond_add",
+                            dataclasses.replace(spec, run=run))
+        monkeypatch.setattr(np, "bincount", counting)
+        pl.exhaustive_histograms("sec_cond_add", F4, 2)
+        assert len(calls) == len(distinct) < sum(points)
+        assert len({v.tobytes() for v in calls}) == len(calls)
+
+    def test_bytes_stay_within_a_small_budget(self, monkeypatch):
+        # sec_scalar_mult at n = 3 over GF(4): 216 chunks of 8192 lanes and
+        # 379 distinct vectors, against room for three
+        _, runs, want = pl.exhaustive_histograms("sec_scalar_mult", F4, 3)
+        budget = 3 * (pl.LANE_CHUNK + 8 * F4.q) + 8 * 100
+        states = watch_tables(monkeypatch, budget)
+        _, got_runs, got = pl.exhaustive_histograms("sec_scalar_mult", F4, 3)
+        assert got_runs == runs
+        assert all(np.array_equal(g, h) for g, h in zip(got, want))
+        assert all(b == held <= budget for b, held, _ in states)
+        # the table filled to three vectors and was emptied many times over
+        stored = [s for _, _, s in states]
+        assert max(stored) == 3
+        assert sum(b < a for a, b in zip(stored, stored[1:])) > 100
+
+
+def emitting(monkeypatch, make):
+    """Patch refresh to emit one more point, make(share 0), labelled
+    ("refresh", "extra")."""
+    spec = pl.lookup("refresh")
+
+    def run(ctx, x):
+        out = spec.run(ctx, x)
+        ctx.emit(make(x[0]), ("refresh", "extra"))
+        return out
+
+    monkeypatch.setitem(pl.REGISTRY, "refresh",
+                        dataclasses.replace(spec, run=run))
+
+
+class TestPointTypes:
+    @pytest.mark.parametrize("make, what", [
+        (lambda v: 3, "of type int"),
+        (lambda v: np.asarray(v, np.int64), "int64 of shape"),
+        (lambda v: np.asarray(v, np.uint16), "uint16 of shape"),
+    ])
+    def test_point_that_is_not_a_lane_vector_is_refused(self, monkeypatch,
+                                                        make, what):
+        emitting(monkeypatch, make)
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount",
+                            lambda *a, **k: calls.append(a) or bincount(*a, **k))
+        with pytest.raises(pl.PointNotLanes,
+                           match=rf"refresh\.extra is {what}") as info:
+            pl.exhaustive_histograms("refresh", F16, 2)
+        assert isinstance(info.value, TypeError)
+        assert calls == []
+
+    def test_vector_of_another_lane_count_is_refused(self, monkeypatch):
+        emitting(monkeypatch, lambda v: np.asarray(v, np.uint8).reshape(-1)[:1])
+        with pytest.raises(pl.PointNotLanes, match="of 256 lanes"):
+            pl.exhaustive_histograms("refresh", F16, 2)
+
+    def test_value_outside_the_field_is_refused(self, monkeypatch):
+        emitting(monkeypatch, lambda v: v | 16)
+        with pytest.raises(ValueError, match=r"point refresh\.extra carries "
+                                             r"a value outside \[0, 16\)"):
+            pl.exhaustive_histograms("refresh", F16, 2)
+
+    def test_trace_longer_than_the_recorded_points_is_refused(self,
+                                                              monkeypatch):
+        spec = pl.lookup("refresh")
+
+        def run(ctx, x):
+            out = spec.run(ctx, x)
+            if isinstance(ctx.rng, ReplayTape):
+                ctx.trace.append(x[0])
+            return out
+
+        monkeypatch.setitem(pl.REGISTRY, "refresh",
+                            dataclasses.replace(spec, run=run))
+        with pytest.raises(ValueError, match="traced 5 points, the "
+                                             "recording run 4"):
+            pl.exhaustive_histograms("refresh", F16, 2)
+
+
+class TestCampaignArguments:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("work started before the arguments were "
+                                 "checked")
+
+        monkeypatch.setattr(pl, "random_system", boom)
+        monkeypatch.setattr(pl.SeededTape, "spawn", boom)
+
+    @pytest.mark.parametrize("target", ["refresh", "solve", "solve_unmasked"])
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_fewer_than_two_samples_per_class(self, no_work, target, samples):
+        with pytest.raises(ValueError, match=f"samples_per_class must be at "
+                                             f"least 2, got {samples}$"):
+            pl.statistical_fixed_vs_random(target, F16, 2,
+                                           samples_per_class=samples)
+
+    @pytest.mark.parametrize("target", ["refresh", "solve"])
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0,
+                                           -4.5])
+    def test_threshold_not_finite_above_zero(self, no_work, target,
+                                             threshold):
+        with pytest.raises(ValueError, match=f"threshold must be a finite "
+                                             f"number above 0, got "
+                                             f"{threshold}$"):
+            pl.statistical_fixed_vs_random(target, F16, 2,
+                                           samples_per_class=4,
+                                           threshold=threshold)
+
+    def test_least_accepted_arguments_run(self):
+        verdicts = pl.statistical_fixed_vs_random(
+            "refresh", F16, 2, samples_per_class=2, threshold=1e-9, seed=1)
+        assert len(verdicts) == 4
