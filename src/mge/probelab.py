@@ -23,16 +23,16 @@ Two checking modes:
   of the FieldSpec's tables. A Lanes vector's augmented ^=, &= and |= rebind
   rather than write in place, as on ints, and its bool() is true when
   any lane is: a zero test raises if one run of the chunk would.
-  Each distinct wire vector is counted once per check (once per fill
-  of the table, should it reach its budget): a table keyed by the
-  vector's exact bytes keeps its histogram, and each point adds up the
-  histograms of the vectors it carried. Memory is bounded per chunk,
-  whatever the run count: uint8 vectors for shares, draws and wires
-  (8 KiB each at 8192 lanes), the draws cut from one tape cycle tiled
-  per check; the table, whose keys, histograms and recorded slots
-  never exceed TABLE_BYTES (4 MiB), flushed into the counts and
-  emptied when full; the counts, points x q int64 per secret, summed
-  into the verdicts' ints.
+  Each call keeps a memo from a wire vector's exact bytes to its
+  histogram, so each distinct vector is counted once per call, by one
+  np.bincount, and a chunk's counts are its points' histograms, stacked
+  and added at once. The memo's keys and histograms never exceed
+  TABLE_BYTES (4 MiB): a new vector that would take them past empties
+  the memo first, and one that no memo within it could hold is counted
+  but not stored. Memory is bounded per chunk, whatever the run count:
+  uint8 vectors for shares, draws and wires (8 KiB each at 8192 lanes),
+  the draws cut from one tape cycle tiled per check; the memo; the
+  counts, points x q int64 per secret, summed into the verdicts' ints.
 
 * statistical: fixed-vs-random sampling with Welch's t on the first
   moment and on the non-centered second moment per point (the second
@@ -67,6 +67,7 @@ from .masking import (
     MaskingContext,
     ReplayTape,
     SeededTape,
+    check_share_count,
     sec_mult,
     sec_nonzero,
 )
@@ -279,7 +280,8 @@ def _fit_secrets(spec: ProbeSpec, field: FieldSpec) -> tuple:
 def _check_secrets(spec: ProbeSpec, field: FieldSpec, secrets: tuple,
                    least: int) -> None:
     """Raise ValueError unless there are at least `least` assignments,
-    each with one value per input inside that input's secret space."""
+    pairwise distinct, each with one value per input inside that input's
+    secret space: a secret compared with itself proves nothing."""
     if len(secrets) < least:
         raise ValueError(f"{spec.name} needs at least {least} secret "
                          f"assignments, got {len(secrets)}: {secrets!r}")
@@ -293,6 +295,9 @@ def _check_secrets(spec: ProbeSpec, field: FieldSpec, secrets: tuple,
                 raise ValueError(
                     f"secret assignment {sec!r} of {spec.name}: {v!r} is "
                     f"not a {kind} secret over GF({field.q})")
+    if len(set(map(tuple, secrets))) < len(secrets):
+        raise ValueError(f"the secret assignments of {spec.name} are not "
+                         f"pairwise distinct: {secrets!r}")
 
 
 def _complete(kind: str, field: FieldSpec, value: int, head) -> list:
@@ -411,7 +416,7 @@ class PointNotLanes(TypeError):
     chunk's lane count, so its bytes would not identify its values."""
 
 
-# Bytes the exhaustive check's table of counted lane vectors may hold
+# Bytes the exhaustive check's memo of lane vectors' histograms may hold
 TABLE_BYTES = 4 << 20
 
 
@@ -421,38 +426,22 @@ def _describe(value) -> str:
     return f"of type {type(value).__name__}"
 
 
-class _VectorCounts:
-    """Point counts of lane runs, each distinct lane vector counted once.
+class _Histograms:
+    """The memo of one exhaustive call, of at most budget bytes (see the
+    module docstring). A key is a vector's exact bytes, which identify
+    it among the 1-D uint8 vectors that rows admits (vectors of two lane
+    counts have keys of two lengths); nbytes counts keys and values."""
 
-    A point's vector is keyed by its exact bytes, which identify it among
-    the 1-D uint8 vectors that add admits (vectors of two lane counts
-    have keys of two lengths). A key seen before reuses its stored
-    histogram; a new one is counted by one np.bincount. add records each
-    point's slot; flush adds the recorded slots to a counts table, as
-    one (points x slots) multiplicity table times the (slots x q)
-    histograms, and forgets them. The histograms outlive a flush, so one
-    table serves every chunk and secret of a call.
-
-    nbytes counts the keys' bytes, the histograms' bytes and 8 bytes per
-    recorded slot, and never exceeds budget: a new vector that would take
-    it past flushes the recorded slots and empties the table first, and
-    one that no table within the budget could hold goes straight into
-    its point's row of counts.
-    """
-
-    __slots__ = ("labels", "q", "budget", "nbytes", "_slots", "_hists",
-                 "_codes")
+    __slots__ = ("labels", "q", "budget", "nbytes", "_memo")
 
     def __init__(self, labels, q: int, budget: int):
         self.labels, self.q, self.budget = labels, q, budget
         self.nbytes = 0
-        self._slots = {}   # key -> its slot times the point count
-        self._hists = []   # per slot, its vector's value counts
-        self._codes = []   # per recorded point: slot * points + point
+        self._memo = {}
 
-    def add(self, trace: list, lanes: int, counts) -> None:
-        """Count one lane run's trace, `lanes` runs per point, into the
-        table, flushing into counts when the budget is reached."""
+    def rows(self, trace: list, lanes: int):
+        """One lane run's counts, a (points x q) int64 array: each point's
+        histogram, looked up or counted by one np.bincount."""
         labels = self.labels
         if len(trace) != len(labels):
             raise ValueError(f"a lane run traced {len(trace)} points, the "
@@ -463,43 +452,24 @@ class _VectorCounts:
                 raise PointNotLanes(
                     f"point {label_id(label)} is {_describe(v)}, not a "
                     f"1-D uint8 vector of {lanes} lanes")
-        slots, codes, npoints = self._slots, self._codes, len(labels)
-        for p, v in enumerate(trace):
+        memo, rows = self._memo, []
+        for label, v in zip(labels, trace):
             key = v.tobytes()
-            code = slots.get(key)
-            if code is None:
+            hist = memo.get(key)
+            if hist is None:
                 hist = np.bincount(v, minlength=self.q)
                 if len(hist) > self.q:
-                    raise ValueError(f"point {label_id(labels[p])} carries "
-                                     f"a value outside [0, {self.q})")
+                    raise ValueError(f"point {label_id(label)} carries a "
+                                     f"value outside [0, {self.q})")
                 size = len(key) + hist.nbytes
-                if size + 8 > self.budget:
-                    counts[p] += hist  # no table could hold it
-                    continue
-                if self.nbytes + size + 8 > self.budget:
-                    self.flush(counts)
-                    slots.clear()
-                    self._hists.clear()
-                    self.nbytes = 0
-                code = slots[key] = len(self._hists) * npoints
-                self._hists.append(hist)
-                self.nbytes += size
-            elif self.nbytes + 8 > self.budget:
-                self.flush(counts)
-            codes.append(code + p)
-            self.nbytes += 8
-
-    def flush(self, counts) -> None:
-        """Add the recorded points' histograms to counts, forget them."""
-        codes = self._codes
-        if not codes:
-            return
-        npoints = len(self.labels)
-        mult = np.zeros((len(self._hists), npoints), np.int64)
-        np.add.at(mult.reshape(-1), np.array(codes), 1)
-        counts += mult.T @ np.array(self._hists)
-        self.nbytes -= 8 * len(codes)
-        codes.clear()
+                if size <= self.budget:
+                    if self.nbytes + size > self.budget:
+                        memo.clear()
+                        self.nbytes = 0
+                    memo[key] = hist
+                    self.nbytes += size
+            rows.append(hist)
+        return np.array(rows)
 
 
 def exhaustive_histograms(name: str, field: FieldSpec | None = None,
@@ -518,9 +488,8 @@ def exhaustive_histograms(name: str, field: FieldSpec | None = None,
     gadget code LANE_CHUNK (8192) at a time, as Lanes vectors over a
     LaneField, the draws replayed by a ReplayTape. A chunk is whole tape
     cycles, one per combination of input sharings, or a slice of a cycle
-    longer than LANE_CHUNK. Its points' vectors go into a table of at
-    most TABLE_BYTES, one bincount per distinct vector, and a point's
-    counts sum the histograms of the vectors it carried. Raises
+    longer than LANE_CHUNK. Its counts are its points' histograms from
+    the call's memo (see the module docstring). Raises
     PointNotLanes for a point that is not a 1-D uint8 vector of the
     chunk's lane count, before its chunk is counted.
     """
@@ -551,7 +520,7 @@ def exhaustive_histograms(name: str, field: FieldSpec | None = None,
     cycle = [np.tile(v, per) for v in _tape_lanes(schedule, 0, span)]
     replay = ReplayTape(())
     ctx = MaskingContext(field_lanes(field), n, tape=replay)
-    table = _VectorCounts(labels, field.q, TABLE_BYTES)
+    table = _Histograms(labels, field.q, TABLE_BYTES)
     hists = []
     for sets in inputs:
         # per input, share i of sharing s is tables[input][i][s]
@@ -568,8 +537,7 @@ def exhaustive_histograms(name: str, field: FieldSpec | None = None,
                 ctx.trace = trace = []
                 spec.run(ctx, *([share[s].repeat(stop - t) for share in tab]
                                 for tab, s in zip(tables, which)))
-                table.add(trace, len(which[0]) * (stop - t), counts)
-        table.flush(counts)
+                counts += table.rows(trace, len(which[0]) * (stop - t))
         hists.append(counts)
     return labels, runs, hists
 
@@ -583,11 +551,10 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
     assignment, per secret, with exhaustive_histograms: the traced
     gadget runs once per chunk of at most LANE_CHUNK (8192) runs, on
     Lanes vectors with one lane per run, with one bincount per distinct
-    vector; a chunk holds 8 KiB per input share, draw and wire, and the
-    table of counted vectors at most TABLE_BYTES, whatever the run count
-    (see the module docstring). A point passes when every secret's
-    counts equal the first's. Raises EnumerationTooLarge when the run
-    count would exceed the cap.
+    vector, in memory bounded whatever the run count (see the module
+    docstring). A point passes when every secret's counts equal the
+    first's. Raises EnumerationTooLarge when the run count would exceed
+    the cap.
     """
     labels, runs, hists = exhaustive_histograms(name, field, n, secrets, cap)
     # per further secret and point: the summed count gaps to the first
@@ -688,8 +655,9 @@ def statistical_fixed_vs_random(target: str, field: FieldSpec | None = None,
     invertible systems) or "solve_unmasked" (the reference path traced
     at its data-dependent examination points). Raises ValueError, before
     any system or tape is made, for fewer than 2 samples per class (a
-    Welch t needs a sample variance) or a threshold that is not a finite
-    number above 0 (every point would be flagged, or none).
+    Welch t needs a sample variance), a threshold that is not a finite
+    number above 0 (every point would be flagged, or none), or a share
+    count below 2 (but for solve_unmasked, which reads no n).
     """
     if samples_per_class < 2:
         raise ValueError(
@@ -697,6 +665,8 @@ def statistical_fixed_vs_random(target: str, field: FieldSpec | None = None,
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be a finite number above 0, got "
                          f"{threshold}")
+    if target != "solve_unmasked":
+        check_share_count(n)
     if field is None:
         field = field_new(4)
     rng = random.Random(seed)

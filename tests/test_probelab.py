@@ -146,6 +146,18 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="at least 2 secret assignments"):
             pl.exhaustive_first_order("refresh", F4, 2, secrets=secrets)
 
+    @pytest.mark.parametrize("secrets", [((1,), (1,)), ([1], (1,)),
+                                         ((1,), (2,), [1])])
+    def test_repeated_assignments_are_rejected(self, monkeypatch, secrets):
+        def boom(*args):
+            raise AssertionError("the recording run started before the "
+                                 "secrets were checked")
+
+        monkeypatch.setitem(pl.REGISTRY, "refresh", dataclasses.replace(
+            pl.lookup("refresh"), run=boom))
+        with pytest.raises(ValueError, match="not pairwise distinct"):
+            pl.exhaustive_first_order("refresh", F16, 2, secrets=secrets)
+
     def test_recorded_trace_checks_its_secret(self):
         with pytest.raises(ValueError, match=r"\(9, 9\).*over GF\(4\)"):
             pl.record_trace("sec_mult", F4, secrets=(9, 9))
@@ -520,35 +532,49 @@ class TestSummary:
         assert s["points"] == 4 and s["failed"] == 0
 
 
+class Memo(dict):
+    """A dict that calls before_store() before it stores a key."""
+
+    def __init__(self, before_store):
+        super().__init__()
+        self.before_store = before_store
+
+    def __setitem__(self, key, value):
+        self.before_store()
+        super().__setitem__(key, value)
+
+
 def watch_tables(monkeypatch, budget):
-    """Give the vector table `budget` bytes. Returns a list that gets,
-    after every add and before every flush of a table, its counted
-    bytes, its bytes summed from its contents, and its stored vectors."""
+    """Give the histogram memo `budget` bytes. Returns a list that gets,
+    after every chunk and before every vector is stored, the memo's
+    counted bytes, its bytes summed from its keys and histograms, and
+    its stored vectors."""
     states = []
 
-    class Watched(pl._VectorCounts):
+    class Watched(pl._Histograms):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._memo = Memo(self.state)
+
         def state(self):
-            held = (sum(map(len, self._slots))
-                    + sum(h.nbytes for h in self._hists) + 8 * len(self._codes))
-            states.append((self.nbytes, held, len(self._hists)))
+            memo = self._memo
+            held = sum(len(k) + h.nbytes for k, h in memo.items())
+            states.append((self.nbytes, held, len(memo)))
 
-        def add(self, trace, lanes, counts):
-            super().add(trace, lanes, counts)
+        def rows(self, trace, lanes):
+            out = super().rows(trace, lanes)
             self.state()
+            return out
 
-        def flush(self, counts):
-            self.state()
-            super().flush(counts)
-
-    monkeypatch.setattr(pl, "_VectorCounts", Watched)
+    monkeypatch.setattr(pl, "_Histograms", Watched)
     monkeypatch.setattr(pl, "TABLE_BYTES", budget)
     return states
 
 
 def one_vector_budget(want, q):
-    """A budget that holds one vector of a full chunk with its histogram
-    and one slot, but not two: each new vector flushes and empties the
-    table. want is the oracle's counts, whose point 0 counts every run."""
+    """A budget that holds one vector of a full chunk with its histogram,
+    but not two: each new vector empties the memo. want is the oracle's
+    counts, whose point 0 counts every run."""
     runs = sum(c for (p, _), c in want[0].items() if p == 0)
     return min(runs, pl.LANE_CHUNK) + 8 * q + 8
 
@@ -713,6 +739,19 @@ class TestCampaignArguments:
             pl.statistical_fixed_vs_random(target, F16, 2,
                                            samples_per_class=4,
                                            threshold=threshold)
+
+    @pytest.mark.parametrize("target", ["refresh", "sec_cond_add", "solve"])
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_fewer_than_two_shares(self, no_work, target, n):
+        with pytest.raises(ValueError, match=f"need at least 2 shares, got "
+                                             f"{n}$"):
+            pl.statistical_fixed_vs_random(target, F16, n,
+                                           samples_per_class=4)
+
+    def test_unmasked_solve_reads_no_share_count(self):
+        verdicts = pl.statistical_fixed_vs_random(
+            "solve_unmasked", F16, 1, samples_per_class=2, seed=1)
+        assert verdicts
 
     def test_least_accepted_arguments_run(self):
         verdicts = pl.statistical_fixed_vs_random(
