@@ -24,7 +24,6 @@ import json
 import math
 import os
 import random
-import statistics
 import sys
 import time
 
@@ -231,6 +230,8 @@ def _check_solved(out, path: str) -> None:
 
 
 def cmd_bench(cfg: argparse.Namespace) -> int:
+    import statistics  # with fractions and decimal: only bench reads it
+
     param = cm.PRESETS.get(cfg.param or "")
     if param is None:
         print(f"unknown preset {cfg.param!r} (see cost-table --schemes all)",

@@ -37,7 +37,7 @@ randomness of a smaller parameter set) and cannot be matched.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 from operator import sub
 
@@ -71,8 +71,8 @@ def w_eff(q: int) -> int:
 # ------------------------------------------------------------ gadget table
 
 
-@dataclass(frozen=True)
-class GadgetSpec:
+class GadgetSpec(namedtuple("GadgetSpec", "name fn kinds t r needs_w secrets",
+                            defaults=(False, ()))):
     """One gadget: callable, input kinds, closed forms, default secrets.
 
     kinds, one per input in call order: "bool" (Boolean sharing of a
@@ -85,13 +85,7 @@ class GadgetSpec:
     zero and edge cases where the domain allows; none: not checked there.
     """
 
-    name: str
-    fn: object
-    kinds: tuple
-    t: object
-    r: object
-    needs_w: bool = False
-    secrets: tuple = ()
+    __slots__ = ()
 
     @property
     def sized(self) -> bool:
@@ -277,13 +271,8 @@ def _div_round(a: int, d: int) -> int:
 # ------------------------------------------------------------- parameters
 
 
-@dataclass(frozen=True)
-class ParamSet:
-    label: str
-    scheme: str
-    level: str
-    q: int
-    m: int
+class ParamSet(namedtuple("ParamSet", "label scheme level q m")):
+    __slots__ = ()
 
     @property
     def w(self) -> int:
@@ -370,18 +359,8 @@ KNOWN_SNAPSHOT_DEVIATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class CostRow:
-    label: str
-    scheme: str
-    level: str
-    q: int
-    m: int
-    n: int
-    ops_total: int
-    ops_scaled: int
-    rand_bits: int
-    rand_scaled: int
+CostRow = namedtuple("CostRow", "label scheme level q m n ops_total "
+                     "ops_scaled rand_bits rand_scaled")
 
 
 def cost_row(param: ParamSet, n: int) -> CostRow:
@@ -437,16 +416,9 @@ def verify_rows(rows: list[CostRow], tol_ops: int = 2,
 # --------------------------------------------- counters versus the forms
 
 
-@dataclass(frozen=True)
-class CounterCheck:
-    gadget: str
-    n: int
-    w: int
-    size: int | None
-    ops_run: int
-    ops_form: int
-    bits_run: int
-    bits_form: int
+class CounterCheck(namedtuple("CounterCheck", "gadget n w size ops_run "
+                                "ops_form bits_run bits_form")):
+    __slots__ = ()
 
     @property
     def ops_rel(self) -> float:

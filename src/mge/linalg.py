@@ -17,7 +17,7 @@ drop it, so row j ends as columns j..m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import xor
 
@@ -43,16 +43,12 @@ from .rowops import (
 )
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(namedtuple("LinearSystem", "field m a b")):
     """Square system A x = b over one field; validated on construction."""
 
-    field: FieldSpec
-    m: int
-    a: tuple
-    b: tuple
+    __slots__ = ()
 
-    def __init__(self, field: FieldSpec, a, b):
+    def __new__(cls, field: FieldSpec, a, b):
         if not isinstance(a, (list, tuple)):
             raise ValueError(f"A must be a list of rows, got {type(a).__name__}")
         m = len(a)
@@ -70,17 +66,17 @@ class LinearSystem:
                 if type(v) is not int or not 0 <= v < field.q:
                     raise ValueError(f"{what}: entry {v!r} is not an integer "
                                      f"in [0, {field.q})")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", tuple(tuple(row) for row in a))
-        object.__setattr__(self, "b", tuple(b))
+        return super().__new__(cls, field, m, tuple(tuple(row) for row in a),
+                               tuple(b))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes no m
+        return self.field, self.a, self.b
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    x: tuple | None
-    singular: bool = False
-    fail_index: int | None = None
+# x is None when the solve aborts at column fail_index
+SolveOutcome = namedtuple("SolveOutcome", "x singular fail_index",
+                          defaults=(False, None))
 
 
 def gaussian_elimination(system: LinearSystem, pivot_tries: int | None = None,

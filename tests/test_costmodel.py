@@ -13,7 +13,7 @@ import pytest
 
 from mge import costmodel as cm
 from mge.gf import field_new
-from mge.linalg import masked_solve, random_system
+from mge.linalg import LinearSystem, SolveOutcome, masked_solve, random_system
 from mge.masking import (DomainTape, MaskingContext, b2m, bool_share,
                          sec_nonzero)
 from mge.rowops import row_share, sec_cond_add, sec_mult_sub, sec_scalar_mult
@@ -95,6 +95,58 @@ class TestUnitForms:
         assert cm._div_round(4096, 8192) == 1
         assert cm._div_round(1499, 1000) == 1
         assert cm._div_round(1500, 1000) == 2
+
+
+# (record type, keyword arguments with every default left out, its repr)
+RECORDS = [
+    (cm.GadgetSpec, dict(name="g", fn=None, kinds=("bool",), t=None, r=None),
+     "GadgetSpec(name='g', fn=None, kinds=('bool',), t=None, r=None, "
+     "needs_w=False, secrets=())"),
+    (cm.ParamSet, dict(label="uov-ip", scheme="uov", level="Ip", q=256, m=44),
+     "ParamSet(label='uov-ip', scheme='uov', level='Ip', q=256, m=44)"),
+    (cm.CostRow, dict(label="mayo-i", scheme="mayo", level="I", q=16, m=64,
+                      n=2, ops_total=2451520, ops_scaled=299,
+                      rand_bits=1111744, rand_scaled=1112),
+     "CostRow(label='mayo-i', scheme='mayo', level='I', q=16, m=64, n=2, "
+     "ops_total=2451520, ops_scaled=299, rand_bits=1111744, "
+     "rand_scaled=1112)"),
+    (cm.CounterCheck, dict(gadget="refresh", n=2, w=8, size=None, ops_run=5,
+                           ops_form=5, bits_run=8, bits_form=8),
+     "CounterCheck(gadget='refresh', n=2, w=8, size=None, ops_run=5, "
+     "ops_form=5, bits_run=8, bits_form=8)"),
+    (SolveOutcome, dict(x=(1,)),
+     "SolveOutcome(x=(1,), singular=False, fail_index=None)"),
+    (LinearSystem, dict(field=field_new(2), a=[[1, 0], [0, 1]], b=[2, 3]),
+     "LinearSystem(field=FieldSpec(w=2, poly=0x7), m=2, a=((1, 0), (0, 1)), "
+     "b=(2, 3))"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+class TestRecords:
+    def test_keyword_construction_fills_defaults(self, cls, kwargs, text):
+        assert repr(cls(**kwargs)) == text
+
+    def test_equal_records_are_equal_and_hash_alike(self, cls, kwargs, text):
+        a, b = cls(**kwargs), cls(**kwargs)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_assignment_raises_attribute_error(self, cls, kwargs, text):
+        rec = cls(**kwargs)
+        with pytest.raises(AttributeError):
+            setattr(rec, next(iter(kwargs)), None)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert repr(rec) == text
+
+
+def test_records_built_by_the_model_match_keyword_records():
+    assert cm.PRESETS["uov-ip"] == cm.ParamSet(**RECORDS[1][1])
+    assert cm.cost_row(cm.PRESETS["mayo-i"], 2) == cm.CostRow(**RECORDS[2][1])
+    assert cm.counter_vs_formula("refresh", 2, w=8) == cm.CounterCheck(
+        **RECORDS[3][1])
 
 
 class TestParamSets:

@@ -5,6 +5,7 @@ and against the residual on everything else, before it is trusted as
 the oracle for the masked path.
 """
 
+import copy
 import itertools
 import os
 import random
@@ -190,9 +191,15 @@ class TestValidation:
 
     def test_system_is_immutable(self):
         sysm = LinearSystem(F16, [[1, 0], [0, 1]], [2, 3])
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             sysm.m = 5
         assert isinstance(sysm.a[0], tuple)
+
+    def test_system_copies_through_its_constructor(self):
+        # copy rebuilds through the validating constructor, which takes no m
+        sysm = LinearSystem(F16, [[1, 0], [0, 1]], [2, 3])
+        dup = copy.copy(sysm)
+        assert dup == sysm and type(dup) is LinearSystem and dup.m == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,14 +262,17 @@ def test_traced_and_untraced_solves_agree_at_m44(field, n, singular):
     assert want == gaussian_elimination(sysm)
 
 
-def test_solver_import_leaves_numpy_out():
-    # numpy costs the solver's start-up time and memory; only the
-    # statistical probing lab needs it, and the CLI loads it on demand
+def test_solver_import_loads_no_numpy_dataclasses_inspect_or_statistics():
+    # each costs every fresh interpreter start-up time: numpy only the
+    # statistical probing lab needs, and the CLI loads it on demand;
+    # dataclasses pulls in inspect, ast and dis, so the solver's records
+    # are named tuples; statistics only `mge bench` reads
     code = ("import sys, mge.linalg, mge.costmodel, mge.cli\n"
-            "print('numpy' in sys.modules)\n")
+            "print([m for m in ('numpy', 'dataclasses', 'inspect',\n"
+            "                   'statistics') if m in sys.modules])\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
