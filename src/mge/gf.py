@@ -9,7 +9,8 @@ a field: mul reads it, the row kernels of mge.rowops slice a factor's
 row from it, and the probing lab's LaneField views it as a numpy array.
 
 A FieldSpec is immutable after construction and safe to share between
-threads. Obtain one through field_new(), which caches per (w, poly).
+threads. Obtain one through field_new(), which caches per (w, poly);
+copies and unpickled FieldSpecs come from it too.
 """
 
 from __future__ import annotations
@@ -133,6 +134,10 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(w={self.w}, poly=0x{self.poly:X})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through field_new, not by setting state
+        return field_new, (self.w, self.poly)
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements. Inputs must lie in [0, q)."""

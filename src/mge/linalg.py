@@ -73,6 +73,16 @@ class LinearSystem(namedtuple("LinearSystem", "field m a b")):
         # copy and pickle rebuild through __new__, which takes no m
         return self.field, self.a, self.b
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here: validate as __new__ does, and
+        # refuse an m that disagrees with the rows
+        field, m, a, b = iterable
+        system = cls(field, a, b)
+        if m != system.m:
+            raise LengthMismatch(f"m is {m!r}, but A has {system.m} rows")
+        return system
+
 
 # x is None when the solve aborts at column fail_index
 SolveOutcome = namedtuple("SolveOutcome", "x singular fail_index",

@@ -26,13 +26,16 @@ Two checking modes:
   Each call keeps a memo from a wire vector's exact bytes to its
   histogram, so each distinct vector is counted once per call, by one
   np.bincount, and a chunk's counts are its points' histograms, stacked
-  and added at once. The memo's keys and histograms never exceed
-  TABLE_BYTES (4 MiB): a new vector that would take them past empties
-  the memo first, and one that no memo within it could hold is counted
-  but not stored. Memory is bounded per chunk, whatever the run count:
-  uint8 vectors for shares, draws and wires (8 KiB each at 8192 lanes),
-  the draws cut from one tape cycle tiled per check; the memo; the
-  counts, points x q int64 per secret, summed into the verdicts' ints.
+  and added at once. A key hashes at most 64 evenly spaced lanes of its
+  vector, and the memo compares whole keys on every hash match, so
+  equal keys still mean equal vectors. The memo's keys and histograms
+  never exceed TABLE_BYTES (4 MiB): a new vector that would take them
+  past empties the memo first, and one that no memo within it could
+  hold is counted but not stored. Memory is bounded per chunk, whatever
+  the run count: uint8 vectors for shares, draws and wires (8 KiB each
+  at 8192 lanes), the draws cut from one tape cycle tiled per check;
+  the memo; the counts, points x q int64 per secret, summed into the
+  verdicts' ints.
 
 * statistical: fixed-vs-random sampling with Welch's t on the first
   moment and on the non-centered second moment per point (the second
@@ -426,11 +429,22 @@ def _describe(value) -> str:
     return f"of type {type(value).__name__}"
 
 
+class _Key(bytes):
+    """A lane vector's exact bytes, hashed on at most 64 evenly spaced
+    lanes: the dict still compares whole keys on every hash match."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self[::len(self) // 64 + 1])
+
+
 class _Histograms:
     """The memo of one exhaustive call, of at most budget bytes (see the
-    module docstring). A key is a vector's exact bytes, which identify
-    it among the 1-D uint8 vectors that rows admits (vectors of two lane
-    counts have keys of two lengths); nbytes counts keys and values."""
+    module docstring). A key is a vector's exact bytes, a _Key hashed on
+    a sample of its lanes; the bytes identify it among the 1-D uint8
+    vectors that rows admits (vectors of two lane counts have keys of
+    two lengths). nbytes counts keys and values."""
 
     __slots__ = ("labels", "q", "budget", "nbytes", "_memo")
 
@@ -454,7 +468,7 @@ class _Histograms:
                     f"1-D uint8 vector of {lanes} lanes")
         memo, rows = self._memo, []
         for label, v in zip(labels, trace):
-            key = v.tobytes()
+            key = _Key(v)
             hist = memo.get(key)
             if hist is None:
                 hist = np.bincount(v, minlength=self.q)

@@ -9,17 +9,20 @@ multiplicatively shared factor, multiply-accumulate by a Boolean-shared
 factor) each have two executions of one algorithm. With a probe trace
 (ctx.trace is a list) a gadget runs coefficient by coefficient through
 the scalar gadgets of mge.masking, emitting a point per wire; that is
-the reference. Without one a kernel runs on the share ints: each ISW
-pair and refresh step is one XOR or AND over the whole row, GF products
-go through a factor's 256-byte row of the field's FieldSpec.products
-table, and the randoms come from one MaskingContext.rand_block,
-sliced in the order the scalar path draws them: per coefficient, pair
-by pair in masking.share_pairs order. Both executions give
-the same shares, counters at the gadget boundary and final tape state.
-Only the traced path emits probe points, so the probing checks
-(acceptance criteria 5 and 6, mge leakcheck) cover it alone; a
-kernel's ints and bytes can hold several shares of one value, and no
-check probes them.
+the reference. It reads its rows' coefficient columns with _columns
+and packs its output columns with _pack, the inverse; both pass the
+share values of a one-coefficient row through as they are, which is
+how the probing lab's lane vectors cross them. Without one a kernel
+runs on the share ints: each ISW pair and refresh step is one XOR or
+AND over the whole row, GF products go through a factor's 256-byte
+row of the field's FieldSpec.products table, and the randoms come
+from one MaskingContext.rand_block, sliced in the order the scalar
+path draws them: per coefficient, pair by pair in masking.share_pairs
+order. Both executions give the same shares, counters at the gadget
+boundary and final tape state. Only the traced path emits probe
+points, so the probing checks (acceptance criteria 5 and 6, mge
+leakcheck) cover it alone; a kernel's ints and bytes can hold several
+shares of one value, and no check probes them.
 row_share has one body on both paths; traced, it also emits its draws.
 
 Charging. As everywhere, the context charges the draws and bits of
@@ -89,6 +92,17 @@ def _pack(shares, l: int) -> PackedRow:
     if l == 1:
         return PackedRow([s for s, in shares], 1)
     return PackedRow([int.from_bytes(s, "little") for s in shares], l)
+
+
+def _columns(row: PackedRow):
+    # the inverse of _pack: an iterable of the coefficients' n share
+    # values; a one-coefficient row passes its values through as they
+    # are, lane vectors included, and a longer one splits by one
+    # to_bytes a share
+    l = row.l
+    if l == 1:
+        return (row,)
+    return zip(*[v.to_bytes(l, "little") for v in row])
 
 
 def _mul_table(field, c: int) -> bytes:
@@ -165,10 +179,9 @@ def sec_cond_add(ctx: MaskingContext, b: list[int], x: PackedRow,
     put(ext[0]) if lab is None else ctx.emit(ext[0], ("scad", "ext"))
     c = ctx.counters
     cols = []
-    for k in range(l):
-        sh = 8 * k  # coefficient k of share v is (v >> sh) & 0xFF
-        a = sec_and(ctx, [(v >> sh) & 0xFF for v in y], ext)
-        s = [((v >> sh) & 0xFF) ^ ai for v, ai in zip(x, a)]
+    for k, (xk, yk) in enumerate(zip(_columns(x), _columns(y))):
+        a = sec_and(ctx, yk, ext)
+        s = [xi ^ ai for xi, ai in zip(xk, a)]
         c.ops += n
         put(s[0]) if lab is None else ctx.emit(s[0], ("scad", "s", k))
         cols.append(strong_refresh(ctx, s))
@@ -218,8 +231,7 @@ def sec_scalar_mult(ctx: MaskingContext, p: list[int],
         return _scalar_mult_packed(ctx, p, x, l)
     mul = ctx.field.mul
     c = ctx.counters
-    # working copy by coefficient, not charged
-    cols = [[(v >> sh) & 0xFF for v in x] for sh in range(0, 8 * l, 8)]
+    cols = list(_columns(x))  # working copy by coefficient, not charged
     put, lab = ctx.trace.append, ctx.trace_labels
     put(cols[0][0]) if lab is None else ctx.emit(cols[0][0], ("ssm", "cp"))
     for j, pj in enumerate(p):
@@ -268,10 +280,9 @@ def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: PackedRow,
     c = ctx.counters
     put, lab = ctx.trace.append, ctx.trace_labels
     cols = []
-    for k in range(l):
-        sh = 8 * k
-        t = sec_mult(ctx, factor, [(v >> sh) & 0xFF for v in row])
-        z = [((v >> sh) & 0xFF) ^ ti for v, ti in zip(base, t)]
+    for k, (rk, bk) in enumerate(zip(_columns(row), _columns(base))):
+        t = sec_mult(ctx, factor, rk)
+        z = [bi ^ ti for bi, ti in zip(bk, t)]
         c.ops += n
         put(z[0]) if lab is None else ctx.emit(z[0], ("sms", "z", k))
         cols.append(z)

@@ -6,6 +6,8 @@ code with the table-driven path under test. Inverses are found by brute
 force search.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -114,6 +116,17 @@ def test_fieldspec_immutable_and_cached():
         f.w = 6
     assert field_new(5) is f
     assert field_new(5, DEFAULT_POLY[5]) is f
+
+
+def test_fieldspec_copies_and_pickles_through_field_new():
+    f = field_new(4)
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    # one built apart from the cache comes back as the cached field
+    g = pickle.loads(pickle.dumps(FieldSpec(4, 0x19)))
+    assert g is field_new(4, 0x19)
+    assert g.products == FieldSpec(4, 0x19).products
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4])

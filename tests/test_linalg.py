@@ -8,6 +8,7 @@ the oracle for the masked path.
 import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -200,6 +201,32 @@ class TestValidation:
         sysm = LinearSystem(F16, [[1, 0], [0, 1]], [2, 3])
         dup = copy.copy(sysm)
         assert dup == sysm and type(dup) is LinearSystem and dup.m == 2
+
+    def test_system_deep_copies_and_pickles(self):
+        sysm = random_system(F16, 3, random.Random(2))
+        for dup in (copy.deepcopy(sysm), pickle.loads(pickle.dumps(sysm))):
+            assert dup == sysm and type(dup) is LinearSystem
+            assert dup.field is F16
+            assert masked_solve(MaskingContext(dup.field, 2, seed=1),
+                                dup) == gaussian_elimination(sysm)
+
+    def test_make_and_replace_validate_as_the_constructor_does(self):
+        sysm = LinearSystem(F16, [[1, 0], [0, 1]], [2, 3])
+        with pytest.raises(LengthMismatch):
+            sysm._replace(m=5)
+        with pytest.raises(LengthMismatch):
+            sysm._replace(b=[1])
+        with pytest.raises(ValueError):
+            sysm._replace(a=[[16, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            LinearSystem._make((F16, 2, [[1, 0], [0, 1]], [0, -1]))
+        with pytest.raises(LengthMismatch):
+            LinearSystem._make((F16, 3, [[1, 0], [0, 1]], [0, 0]))
+        with pytest.raises(LengthZero):
+            LinearSystem._make((F16, 0, [], []))
+        dup = sysm._replace(b=[1, 1])
+        assert type(dup) is LinearSystem and dup.b == (1, 1)
+        assert isinstance(dup.a[0], tuple) and dup.a == sysm.a
 
 
 @settings(max_examples=60, deadline=None)

@@ -649,6 +649,34 @@ class TestVectorTable:
         assert sum(b < a for a, b in zip(stored, stored[1:])) > 100
 
 
+class TestSampledKeys:
+    """A key hashes a sample of its vector's lanes but compares whole."""
+
+    def test_vectors_equal_on_the_sample_stay_apart(self):
+        a = lanes(*np.random.default_rng(3).integers(0, F4.q, 8192))
+        b = a.copy()
+        b[1] ^= 1  # lane 1 is outside the sample of every 129th lane
+        key_a, key_b = pl._Key(a), pl._Key(b)
+        assert hash(key_a) == hash(key_b) and key_a != key_b
+        table = pl._Histograms([("t", "a"), ("t", "b")], F4.q,
+                               pl.TABLE_BYTES)
+        got = table.rows([a, b], 8192)
+        assert len(table._memo) == 2
+        assert got.tolist() == [np.bincount(a, minlength=F4.q).tolist(),
+                                np.bincount(b, minlength=F4.q).tolist()]
+        assert got[0].tolist() != got[1].tolist()
+
+    def test_equal_vectors_made_apart_share_one_entry(self):
+        a = lanes(*np.random.default_rng(4).integers(0, F4.q, 8192))
+        b = lanes(*a.tolist())
+        assert b is not a and not np.shares_memory(a, b)
+        table = pl._Histograms([("t", "a"), ("t", "b")], F4.q,
+                               pl.TABLE_BYTES)
+        got = table.rows([a, b], 8192)
+        assert len(table._memo) == 1
+        assert got.tolist() == 2 * [np.bincount(a, minlength=F4.q).tolist()]
+
+
 def emitting(monkeypatch, make):
     """Patch refresh to emit one more point, make(share 0), labelled
     ("refresh", "extra")."""
