@@ -9,8 +9,10 @@ or counts anything.
 
 Tapes. The tapes live in mge.tape and are re-exported here. A
 SeededTape computes its SplitMix64 outputs ahead of use, in one wide
-pass per refill; its _state is the state that one scalar step per draw
-would have left, so equal _state means equal draws from there on.
+int pass per refill that holds one state per 64-bit lane and runs each
+multiply on the even and the odd lanes apart; its _state is the state
+that one scalar step per draw would have left, so equal _state means
+equal draws from there on.
 
 Cost accounting. Counters charge abstract unit operations the way the
 closed forms in mge.costmodel count them: field ops, w-bit logical ops,

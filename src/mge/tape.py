@@ -6,13 +6,16 @@ generator: output t depends only on the seed plus t*gamma. The tape
 computes the top bytes of its next outputs ahead, in one wide int pass
 per refill, and draws of up to 8 bits (draw, draw_nonzero, draw_block)
 read them in order; the look-ahead starts short and doubles up to a
-fixed cap. Each refill is rounded up to a power of two, whose lane
-constants are built once, on first use, and cached for every tape. A
-cap-sized refill that follows another one gets its lane states by
-adding the cached cap*gamma step to the last ones, not by multiplying
-the start state out again. Its _state is the state that one scalar
-SplitMix64 step per draw would have left, so equal _state means equal
-draws from there on.
+fixed cap. The pass holds one 64-bit state per 64-bit lane of one int
+and runs each of its two multiplies once on the even lanes and once on
+the odd ones, so that a product's high half lands in an empty lane
+(see _top_bytes). Each refill is rounded up to a power of two, whose
+lane constants are built once, on first use, and cached for every tape.
+A cap-sized refill that follows another one gets its lane states by
+adding the cached cap*gamma step to the last ones, the even and the odd
+lanes apart, not by multiplying the start state out again. Its _state
+is the state that one scalar SplitMix64 step per draw would have left,
+so equal _state means equal draws from there on.
 
 ReplayTape and DomainTape serve tape enumeration: one feeds back a
 fixed list of values, the other records the draw schedule of a run.
@@ -24,6 +27,7 @@ from functools import cache
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 DEFAULT_SEED = 0x243F6A8885A308D3
 
@@ -35,56 +39,72 @@ DEFAULT_SEED = 0x243F6A8885A308D3
 _AHEAD_FIRST = 32
 _AHEAD_CAP = 1024
 
-# _top_bytes lays its SplitMix64 lanes 128 bits apart in one int: a lane
-# times a 64-bit constant fits its slot, so no carry crosses lanes.
 # A lane's byte 7 is its top 8 bits; a w-bit draw keeps the top w of them.
 _TOP_BITS = tuple(bytes(v >> (8 - w) for v in range(256)) for w in range(9))
 
 
 @cache
 def _lane_constants(count: int):
-    """The constants of a count-lane refill, count a power of two.
+    """The constants of a count-lane refill, count a power of two >= 2.
 
-    ones has 1 in every lane, mask the lanes' low 64 bits, ramp holds
-    (t+1)*gamma mod 2^64 in lane t, and step count*gamma in every lane:
-    added to the states of one count-lane refill, it gives those of the
-    refill that follows.
+    even has a lane of 64 one bits at every even lane (t = 0, 2, ...)
+    and odd at every odd one; low34 and low37 hold a lane's low 34 and
+    37 bits in every lane. Then, for the even lanes and for the odd
+    ones: ones has 1 in each of them, ramp (t+1)*gamma mod 2^64 in lane
+    t, and step count*gamma: added to the states of one count-lane
+    refill, step gives those of the refill that follows.
     """
-    ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
+    ones = int.from_bytes((1).to_bytes(8, "little") * count, "little")
+    even = int.from_bytes((b"\xff" * 8 + bytes(8)) * (count >> 1), "little")
+    odd = even << 64
     ramp = int.from_bytes(b"".join(
-        ((t * _GAMMA) & _M64).to_bytes(16, "little")
+        ((t * _GAMMA) & _M64).to_bytes(8, "little")
         for t in range(1, count + 1)), "little")
-    return ones, ones * _M64, ramp, ((count * _GAMMA) & _M64) * ones
+    step = ((count * _GAMMA) & _M64) * ones
+    return (even, odd, ones * ((1 << 34) - 1), ones * ((1 << 37) - 1),
+            ones & even, ones & odd, ramp & even, ramp & odd,
+            step & even, step & odd)
 
 
-def _top_bytes(z: int, mask: int, count: int) -> bytes:
+def _top_bytes(z: int, count: int, even: int, odd: int, low34: int,
+               low37: int) -> bytes:
     """Top bytes of the SplitMix64 outputs of the count states in z.
 
-    z holds one 64-bit state per 128-bit lane and mask the lanes' low
-    64 bits; SplitMix64 output t depends only on the seed plus t*gamma,
-    so all count outputs come from one pass of wide int arithmetic.
+    z holds one 64-bit state per 64-bit lane; SplitMix64 output t
+    depends only on the seed plus t*gamma, so all count outputs come
+    from one pass of wide int arithmetic. A shift spills a lane's bits
+    into its neighbour, so each xorshift masks the shifted value to the
+    lane's low bits. A lane times a 64-bit constant overflows into the
+    lane above, so each multiply runs once on the even lanes and once
+    on the odd ones, each time with an empty slot above every lane to
+    take its high half, which the merge of the two then drops.
     """
-    # mask before each multiply: the shifts spill a lane's low bits
-    # into the spare top of the lane below
-    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB
+    x = z ^ ((z >> 30) & low34)
+    xe = x & even
+    z = (xe * _MIX1 & even) | ((x ^ xe) * _MIX1 & odd)
+    x = z ^ ((z >> 27) & low37)
+    xe = x & even
     # Only byte 7, bits 56..63 of the 64-bit z, is kept. The final
-    # z ^= z >> 31 changes bits 0..32 of it only, and the product bits
-    # above 64 sit in bytes 8..15 of the lane, so neither that step nor a
-    # mask after the multiply can reach byte 7.
-    return z.to_bytes(count << 4, "little")[7::16]
+    # z ^= z >> 31 changes bits 0..32 of it only, so it is left out; the
+    # merge still has to drop the high halves the products put in the
+    # lanes above.
+    z = (xe * _MIX2 & even) | ((x ^ xe) * _MIX2 & odd)
+    return z.to_bytes(count << 3, "little")[7::8]
 
 
 class SeededTape:
     """Counter-based deterministic source of uniform w-bit draws.
 
     Draws of up to 8 bits read a buffer of the top bytes of the next
-    outputs, filled ahead in one wide pass of a power-of-two lane count;
-    the look-ahead doubles on each refill up to _AHEAD_CAP, so a
-    short-lived tape computes little it never reads. Back-to-back
-    cap-sized refills step the kept lane states of the last one on.
-    spawn() and draws wider than 8 bits step the scalar generator from
-    the current position and drop the buffer and the kept lane states.
+    outputs, filled ahead in one wide pass over 64-bit lanes of a
+    power-of-two lane count, whose multiplies run on the even and the
+    odd lanes apart; the look-ahead doubles on each refill up to
+    _AHEAD_CAP, so a short-lived tape computes little it never reads.
+    Back-to-back cap-sized refills step the kept lane states of the
+    last one on, held as an even and an odd int. spawn() and draws
+    wider than 8 bits step the scalar generator from the current
+    position and drop the buffer and the kept lane states. Widths
+    outside 1..64 raise ValueError before the tape moves.
 
     _state is the SplitMix64 state that scalar draws would have left:
     the state before the buffer plus gamma per buffered draw read. What
@@ -98,7 +118,8 @@ class SeededTape:
         self._buf = b""
         self._pos = 0
         self._ahead = _AHEAD_FIRST
-        self._states = None  # lane states of the last refill, if cap-sized
+        # (even, odd) lane states of the last refill, if cap-sized
+        self._states = None
 
     @property
     def _state(self) -> int:
@@ -107,8 +128,8 @@ class SeededTape:
     def _next64(self) -> int:
         z = self._base = (self._state + _GAMMA) & _M64
         self._buf, self._pos, self._states = b"", 0, None
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        z = ((z ^ (z >> 30)) * _MIX1) & _M64
+        z = ((z ^ (z >> 27)) * _MIX2) & _M64
         return z ^ (z >> 31)
 
     def _fill(self, count: int) -> None:
@@ -117,22 +138,28 @@ class SeededTape:
         ahead = self._ahead
         self._ahead = min(ahead << 1, _AHEAD_CAP)
         size = 1 << (max(count - len(rest), ahead) - 1).bit_length()
-        ones, mask, ramp, step = _lane_constants(size)
-        z = self._states
-        if z is not None and size == _AHEAD_CAP:
+        (even, odd, low34, low37, ones_e, ones_o, ramp_e, ramp_o, step_e,
+         step_o) = _lane_constants(size)
+        kept = self._states
+        if kept is not None and size == _AHEAD_CAP:
             # the last refill was cap-sized too and ended where this one
-            # starts: step its lanes on instead of multiplying out anew
-            z = (z + step) & mask  # each lane sum stays below 2^65
+            # starts: step its lanes on instead of multiplying out anew;
+            # a lane's carry lands in the empty slot above it
+            ze = (kept[0] + step_e) & even
+            zo = (kept[1] + step_o) & odd
         else:
             after = (self._base + len(self._buf) * _GAMMA) & _M64
-            z = (after * ones + ramp) & mask
-        self._states = z if size == _AHEAD_CAP else None
+            ze = (after * ones_e + ramp_e) & even
+            zo = (after * ones_o + ramp_o) & odd
+        self._states = (ze, zo) if size == _AHEAD_CAP else None
         self._base = self._state
-        self._buf = rest + _top_bytes(z, mask, size)
+        self._buf = rest + _top_bytes(ze | zo, size, even, odd, low34, low37)
         self._pos = 0
 
     def draw(self, width: int) -> int:
-        if width > 8:
+        if width - 1 & -8:  # one test: zero for widths 1..8 only
+            if not 8 < width <= 64:
+                raise ValueError(f"draws are 1..64 bits wide, got {width}")
             return self._next64() >> (64 - width)
         p = self._pos
         if p == len(self._buf):
@@ -147,8 +174,8 @@ class SeededTape:
         # rejection keeps the distribution uniform on [1, 2^width); reading
         # through the _draw alias, not the draw attribute, keeps it one
         # call per request for a wrapper installed on draw
-        if width < 1:
-            raise ValueError(f"nonzero draws are >= 1 bit wide, got {width}")
+        if not 0 < width <= 64:
+            raise ValueError(f"nonzero draws are 1..64 bits wide, got {width}")
         while True:
             v = self._draw(width)
             if v:

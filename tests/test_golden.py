@@ -2,7 +2,8 @@
 
 Each test hashes what a traced computation records: the point ids and
 values of record_trace for every registry gadget, one labelled traced
-masked_solve with its outcome, counters and tape state, and the
+masked_solve with its outcome, counters and tape state, untraced
+eliminations at the uov-ip size with their share ints, and the
 fixed-vs-random verdicts with the exact bits of every statistic. How
 probe values are recorded and how the campaign sums its moments may
 change; none of these digests may.
@@ -15,10 +16,11 @@ import pytest
 
 from mge import probelab as pl
 from mge.gf import field_new
-from mge.linalg import masked_solve, random_system
+from mge.linalg import masked_solve, random_system, sec_row_ech, share_system
 from mge.masking import MaskingContext
 
 F16 = field_new(4)
+F256 = field_new(8)
 
 
 def digest(lines) -> str:
@@ -80,3 +82,27 @@ def test_labelled_traced_solve(n):
                    ctx.rng._state))]
     lines += [f"{lab} {v}" for lab, v in zip(ctx.trace_labels, ctx.trace)]
     assert digest(lines) == SOLVES[n]
+
+
+ELIMINATIONS = {
+    41: "fa9ff1326c7ef91d1eb605a9f2f150cdc8ea82ed1c1647ce9271ac1c0858509c",
+    43: "44b6a96c42d44de2398b87e20f04ca287ab251c973e5b208096eac9a193810b6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ELIMINATIONS))
+def test_untraced_elimination_at_uov_ip(seed):
+    # q = 256, m = 44: the untraced path draws through cap-sized refills
+    # whose lane states are stepped on, so every drawn byte shows here
+    lines = []
+    for n in (2, 3, 4):
+        system = random_system(F256, 44, random.Random(seed * 10 + n))
+        ctx = MaskingContext(F256, n, seed=seed)
+        rows = share_system(ctx, system)
+        fail = sec_row_ech(ctx, rows)
+        lines += [f"{n} {row.l} {list(row)}" for row in rows]
+        lines.append(repr((fail, ctx.counters.snapshot(), ctx.rng._state)))
+        ctx = MaskingContext(F256, n, seed=seed)
+        out = masked_solve(ctx, system)
+        lines.append(repr((out, ctx.counters.snapshot(), ctx.rng._state)))
+    assert digest(lines) == ELIMINATIONS[seed]

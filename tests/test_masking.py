@@ -84,6 +84,29 @@ class TestTapes:
         assert ctx.rng._state == SeededTape(5)._state
         assert ctx.counters.snapshot() == (0, 0, 0)
 
+    @pytest.mark.parametrize("kind, width", [
+        ("draw", 0), ("draw", -1), ("draw", 65),
+        ("draw_nonzero", -1), ("draw_nonzero", 65)])
+    def test_out_of_range_width_rejected_before_the_tape_moves(self, kind,
+                                                               width):
+        # a 0-bit draw would use up a buffered one, a 65-bit one would
+        # step the scalar generator before its shift failed
+        ref = splitmix64_ref(5)
+        tape = SeededTape(5)
+        assert tape.draw(8) == next(ref) >> 56
+        state = tape._state
+        with pytest.raises(ValueError, match=f"1..64 bits wide, got {width}"):
+            getattr(tape, kind)(width)
+        assert tape._state == state
+        assert tape.draw(8) == next(ref) >> 56
+        ctx = MaskingContext(F16, 2, seed=5)
+        rand = ctx.rand if kind == "draw" else ctx.rand_nonzero
+        with pytest.raises(ValueError, match="wide"):
+            rand(width)
+        assert ctx.rng._state == SeededTape(5)._state
+        assert ctx.counters.snapshot() == (0, 0, 0)
+        assert rand(4) == getattr(SeededTape(5), kind)(4)
+
     def test_draw_nonzero_reads_the_tape_without_calling_draw(self, monkeypatch):
         # a wrapper installed on draw, such as a call-counting tracer, must
         # see one call per request, so draw_nonzero may not go through it
