@@ -389,7 +389,8 @@ def _suite_pipeline_counters(cfg):
                            f"{ck.ops_form}-{slip_ops}")
         if ck.bits_run != ck.bits_form - slip_bits:
             return False, f"bits relation broken n={n} m={m}"
-    return True, "measured = form - m*(T_ca(1)+T_ms(1)) ops, - 3mh bits, exact"
+    return True, ("measured = form - m*(T_ca(1)+T_ms(1)) ops, "
+                  "- m*(R_ca(1)+R_ms(1)) bits, exact")
 
 
 def _suite_oracle(cfg):
@@ -648,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float,
                    help="statistical: |t| above which a point fails "
                    "(default 4.5)")
-    p.add_argument("--shares", type=int, default=2, dest="n")
+    p.add_argument("--shares", type=int, dest="n",
+                   help="share count (default 2)")
     p.add_argument("--w", type=int, default=4, help="field width in bits")
     p.add_argument("--json", dest="json_path", help="write verdicts here")
 
@@ -694,6 +696,8 @@ def _unread_flags(cfg: argparse.Namespace) -> dict:
             for flag in ("--samples", "--threshold", "--seed"):
                 unread[flag] = "an exhaustive check"
         unread["--m"] = "a --gadget check: it sizes a --pipeline system"
+    elif cfg.command == "leakcheck" and cfg.pipeline == "solve-unmasked":
+        unread["--shares"] = "--pipeline solve-unmasked: it has no shares"
     return unread
 
 

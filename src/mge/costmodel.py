@@ -1,14 +1,15 @@
 """The gadget table, closed-form costs, and the scheme table.
 
 GADGET_SPECS declares every gadget once: its callable, input kinds,
-closed forms and the probing lab's default secrets. No path charges
-randomness from a form: MaskingContext charges each draw and its bits
-as it is made, and each gadget counts every op it executes, one per
-uniform draw included. Every closed form lives in this table, and two
-places read it at run time: the packed row kernels (mge.rowops) charge
-their op forms from it, and sec_nonzero's alignment (mge.masking) adds
-its forms minus what its fold executes. A composite's form sums its
-parts'. t_cost / r_cost return the forms in exact integer arithmetic.
+closed forms and the probing lab's default secrets. MaskingContext
+charges each draw and its bits as it is made, and each gadget counts
+every op it executes, one per uniform draw included, but for two kinds
+of call that charge closed forms: the packed row kernels (mge.rowops)
+add their op forms, and sec_nonzero (mge.masking) sets ops and bits on
+return to their values on entry plus its forms. Every closed form
+lives in this table, and masking.closed_forms is its one reader at run
+time. A composite's form sums its parts'. t_cost / r_cost return the
+forms in exact integer arithmetic.
 
 ech_phases declares the elimination's cost once, one row per phase of
 sec_row_ech named as its T_ech term: the gadget calls and public ops of

@@ -17,19 +17,18 @@ equal draws from there on.
 Cost accounting. Counters charge abstract unit operations the way the
 closed forms in mge.costmodel count them: field ops, w-bit logical ops,
 charged share copies, and one op per uniform draw. The MaskingContext
-charges draws and bits only, as it makes them: rand and rand_nonzero
-for one value, rand_block for a block. Every gadget counts every op it
+charges draws and bits as it makes them: rand and rand_nonzero for one
+value, rand_block for a block. Every gadget counts every op it
 executes, its draws included (b2m's docstring says which of its draws
-are not ops). After any single gadget call the (ops, rng_bits) deltas
-equal the closed forms exactly. sec_nonzero executes on the width
-padded to a power of two and, traced or packed, counts what its fold
-executes; on return it adds the alignment to the closed form (which
-counts levels as ceil(log2(w+1))) that its plan, cached per (n, w),
-holds. Alignment can subtract a few bits, so counters are meant to be
-read at gadget boundaries.
-
-Every closed form lives in mge.costmodel's table; sec_nonzero's plan
-reads its forms from there to compute that alignment.
+are not ops), but two charge closed forms, read through closed_forms,
+the one run-time reader of mge.costmodel's table: the packed row
+kernels of mge.rowops add their op forms, and sec_nonzero, which runs
+on the width padded to a power of two, sets ops and bits on return to
+their values on entry plus its forms. After any single gadget call the
+(ops, rng_bits) deltas equal the closed forms exactly. Inside a
+sec_nonzero call the counters hold what its fold has executed, and the
+bits it charges can be fewer than it draws, so counters are meant to
+be read at gadget boundaries.
 
 Pair order. The pairwise gadgets (strong_refresh, the ISW products,
 sec_nonzero's fold and the row kernels) draw one random per share pair,
@@ -104,7 +103,8 @@ class MaskingContext:
     """Field, share count, tape, counters and the optional probe trace.
 
     Single-owner: gadgets mutate the tape and counters in place, so a
-    context must not be shared between concurrent computations.
+    context must not be shared between concurrent computations. A seed
+    builds a SeededTape; giving a tape as well is a ValueError.
     """
 
     __slots__ = ("field", "n", "rng", "counters", "trace", "trace_labels")
@@ -112,6 +112,8 @@ class MaskingContext:
     def __init__(self, field: FieldSpec, n: int, seed: int | None = None,
                  tape=None):
         check_share_count(n)
+        if seed is not None and tape is not None:
+            raise ValueError("give a seed or a tape, not both")
         self.field = field
         self.n = n
         self.rng = tape if tape is not None else SeededTape(
@@ -392,27 +394,24 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Shared bit (x != 0) by OR-folding halves of the padded width.
 
     Both executions run the fold of the plan for (n, w) on the width
-    padded to the next power of two and count what they execute; the
-    plan's alignment to the closed form is added on return. With a
-    probe trace each level runs strong_refresh and sec_or, the
-    reference; without one the same fold runs inline on the shares
-    packed into one int.
+    padded to the next power of two: with a probe trace each level runs
+    strong_refresh and sec_or, the reference; without one the same fold
+    runs inline on the shares packed into one int. On return ops and
+    bits are their values on entry plus the closed forms.
     """
     n = ctx.n
     if len(x) != n:
         raise _wrong_count(n, x)
-    w = ctx.field.w
-    plan = _nonzero_plan(n, w)
-    align_ops, align_bits, run_ops, levels, spreads, shifts = plan
+    ops_form, bits_form, levels, spreads, shifts = _nonzero_plan(
+        n, ctx.field.w)
     c = ctx.counters
+    ops, bits = c.ops, c.rng_bits
     if ctx.trace is None:
         t = _nonzero_packed(ctx, int.from_bytes(bytes(x), "little"),
                             levels, spreads, shifts, n)
-        c.ops += run_ops
     else:
         put, lab = ctx.trace.append, ctx.trace_labels
         t = list(x)
-        c.ops += n  # working copy is charged
         put(t[0]) if lab is None else ctx.emit(t[0], ("snz", "cp"))
         for half, _, ones in levels:
             hi = [(v >> half) & ones for v in t]
@@ -424,34 +423,36 @@ def sec_nonzero(ctx: MaskingContext, x: list[int]) -> list[int]:
             hi = strong_refresh(ctx, hi, width=half)
             t = sec_or(ctx, hi, lo, width=half)
         put(t[0]) if lab is None else ctx.emit(t[0], ("snz", "bit"))
-    c.ops += align_ops
-    c.rng_bits += align_bits
+    c.ops = ops + ops_form
+    c.rng_bits = bits + bits_form
     return t
 
 
-# (n, w) -> the fold of sec_nonzero: the ops and bits that align what it
-# executes to the closed form, and the ops an untraced fold executes; per
-# fold level the half width, its mask in every share's byte and in share
-# 0's; per share pair (i, j) the int with bytes i and j set to 1; the
-# shifts 8d that line share i + d up with share i, d = 1..n-1. The forms
-# come from mge.costmodel, imported on first use: it imports this module.
+@cache
+def closed_forms(gadget: str, n: int, size: int | None = None,
+                 w: int | None = None) -> tuple[int, int]:
+    """(t_cost, r_cost) from mge.costmodel's table, which imports this
+    module for its callables and so is imported here on first use."""
+    from .costmodel import r_cost, t_cost
+    return t_cost(gadget, n, size, w=w), r_cost(gadget, n, size, w=w)
+
+
+# (n, w) -> the fold of sec_nonzero: its two closed forms; per fold level
+# the half width, its mask in every share's byte and in share 0's; per
+# share pair (i, j) the int with bytes i and j set to 1; the shifts 8d
+# that line share i + d up with share i, d = 1..n-1
 @cache
 def _nonzero_plan(n, w):
-    from .costmodel import r_cost, t_cost
-    padded = 1 << (w - 1).bit_length() if w > 1 else 1
     every = int.from_bytes(b"\x01" * n, "little")
     levels = []
-    half = padded >> 1
+    half = 1 << (w - 1).bit_length() >> 1  # of w padded to a power of 2
     while half:
         ones = (1 << half) - 1
         levels.append((half, ones * every, ones))
         half >>= 1
     spreads = tuple((1 << 8 * i) | (1 << 8 * j) for i, j in share_pairs(n))
-    # per level a strong_refresh and a sec_or, after the charged copy
-    run_ops = n + len(levels) * (5 * n * n - 2 * n + 1)
-    return (t_cost("sec_nonzero", n, w=w) - run_ops,
-            r_cost("sec_nonzero", n, w=w) - (n * n - n) * (padded - 1),
-            run_ops, tuple(levels), spreads, tuple(range(8, 8 * n, 8)))
+    return (*closed_forms("sec_nonzero", n, w=w), tuple(levels), spreads,
+            tuple(range(8, 8 * n, 8)))
 
 
 def _nonzero_packed(ctx, t, levels, spreads, shifts, n):

@@ -27,9 +27,10 @@ row_share has one body on both paths; traced, it also emits its draws.
 
 Charging. As everywhere, the context charges the draws and bits of
 every block and each gadget counts every op it executes, one per draw
-included. Every form lives in mge.costmodel's table, and the kernels
-charge their op forms from it through _ops_form; bits are charged only
-by the context, as they are drawn.
+included. Every form lives in mge.costmodel's table; the traced path's
+executed count equals the op form, and the kernels charge that form,
+read through masking.closed_forms, the one reader of the table at run
+time. Bits are charged only by the context, as they are drawn.
 
 Live tails (mge.linalg): a row holds the columns it has left; row_head
 reads the shares of its coefficient 0 and row_drop removes it.
@@ -39,8 +40,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .masking import (LengthMismatch, MaskingContext, refresh, sec_and,
-                      sec_mult, share_pairs, strong_refresh)
+from .masking import (LengthMismatch, MaskingContext, closed_forms, refresh,
+                      sec_and, sec_mult, share_pairs, strong_refresh)
 
 
 class PackedRow(list):
@@ -108,18 +109,6 @@ def _columns(row: PackedRow):
 def _mul_table(field, c: int) -> bytes:
     # the bytes.translate table of v -> c*v: row c of the field's products
     return field.products[c << 8:(c + 1) << 8]
-
-
-@cache
-def _ops_form(gadget: str, n: int, l: int) -> int:
-    """t_cost(gadget, n, l), the op form a packed kernel charges; the
-    scalar path's executed count equals it.
-
-    mge.costmodel imports this module for its callables, so its t_cost
-    is imported here, on first use, not at the top of the module.
-    """
-    from .costmodel import t_cost
-    return t_cost(gadget, n, l)
 
 
 def row_share(ctx: MaskingContext, values: list[int]) -> PackedRow:
@@ -212,7 +201,7 @@ def _cond_add_packed(ctx, ext, x, y, l):
              ^ int.from_bytes(block[npairs + p::span], "little"))
         s[i] ^= r
         s[j] ^= r ^ (y[i] & e[j]) ^ (y[j] & e[i])
-    ctx.counters.ops += _ops_form("sec_cond_add", n, l)
+    ctx.counters.ops += closed_forms("sec_cond_add", n, l, ctx.field.w)[0]
     return PackedRow(s, l)
 
 
@@ -261,7 +250,7 @@ def _scalar_mult_packed(ctx, p, x, l):
             r = int.from_bytes(block[base + i - 1:base + stride:per], "little")
             v[0] ^= r
             v[i] ^= r
-    ctx.counters.ops += _ops_form("sec_scalar_mult", n, l)
+    ctx.counters.ops += closed_forms("sec_scalar_mult", n, l, field.w)[0]
     return PackedRow(v, l)
 
 
@@ -311,5 +300,5 @@ def _mult_sub_packed(ctx, factor, row, base, l):
         # r is added first, as in masking._isw
         z[j] ^= ((r ^ ((wide[i] >> (bits * j)) & lane))
                  ^ ((wide[j] >> (bits * i)) & lane))
-    ctx.counters.ops += _ops_form("sec_mult_sub", n, l)
+    ctx.counters.ops += closed_forms("sec_mult_sub", n, l, field.w)[0]
     return PackedRow(z, l)

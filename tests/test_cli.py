@@ -578,10 +578,12 @@ class TestUnreadFlags:
         (("--seed", "5", "leakcheck", "--gadget", "refresh"), "--seed"),
         (("leakcheck", "--gadget", "refresh", "--seed", "0"), "--seed"),
         (("solve", "--in", "FILE", "--q", "0"), "--q"),
+        (("leakcheck", "--pipeline", "solve-unmasked", "--shares", "3",
+          "--samples", "20"), "--shares"),
     ], ids=["in-count", "in-q", "in-m", "compare-unmasked",
             "unmasked-shares", "in-unmasked-seed", "cost-table-seed",
             "exhaustive-seed", "exhaustive-seed-first", "seed-zero",
-            "in-q-zero"])
+            "in-q-zero", "unmasked-pipeline-shares"])
     def test_flag_the_run_never_reads_is_a_usage_error(
             self, capsys, monkeypatch, sys_file, argv, flag):
         from mge import probelab

@@ -334,7 +334,7 @@ print(json.dumps([loaded_early, numpy, ran, want]))
 
 
 class TestRunTimeChargesReadTheTable:
-    """The packed kernels and sec_nonzero's alignment charge the forms of
+    """The packed kernels and sec_nonzero charge the forms of
     GADGET_SPECS, and no other declaration of them exists."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -359,15 +359,18 @@ class TestRunTimeChargesReadTheTable:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("w", range(1, 9))
     def test_untraced_sec_nonzero(self, n, w):
+        # and the traced fold: both charge the forms on return
         ctx = MaskingContext(field_new(w), n, seed=0x3D)
-        for v in {0, 1, (1 << w) - 1}:
-            x = bool_share(ctx, v)
-            before = ctx.counters.snapshot()
-            sec_nonzero(ctx, x)
-            after = ctx.counters.snapshot()
-            assert (after[0] - before[0], after[2] - before[2]) == (
-                cm.t_cost("sec_nonzero", n, w=w),
-                cm.r_cost("sec_nonzero", n, w=w)), v
+        for trace in (None, []):
+            ctx.trace = trace
+            for v in {0, 1, (1 << w) - 1}:
+                x = bool_share(ctx, v)
+                before = ctx.counters.snapshot()
+                sec_nonzero(ctx, x)
+                after = ctx.counters.snapshot()
+                assert (after[0] - before[0], after[2] - before[2]) == (
+                    cm.t_cost("sec_nonzero", n, w=w),
+                    cm.r_cost("sec_nonzero", n, w=w)), (trace, v)
 
     def test_a_fresh_interpreter_loads_the_table_on_first_charge(self):
         # mge.costmodel imports mge.rowops and mge.masking, so they read

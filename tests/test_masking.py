@@ -177,6 +177,16 @@ class TestTapes:
         assert tape._state == state
         assert tape.draw(8) == next(ref) >> 56
 
+    def test_seed_and_tape_together_rejected_before_a_tape_is_built(
+            self, monkeypatch):
+        # the seed used to be dropped in silence, the tape used
+        def no_tape(*args):
+            raise AssertionError("built a tape")
+
+        monkeypatch.setattr(masking, "SeededTape", no_tape)
+        with pytest.raises(ValueError, match="not both"):
+            MaskingContext(F16, 2, seed=7, tape=ReplayTape([1]))
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 600), st.integers(0, 2 ** 64 - 1),
