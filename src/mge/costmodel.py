@@ -30,9 +30,10 @@ ops only: inside the table, scalar multiplication charges the refresh
 without its output copy (4n^2-2n per coefficient instead of 5n^2-3n),
 so tabulated_pipeline_ops subtracts n^2-n per scaled coefficient.
 Randomness needs no further variant. PRINTED_TABLE is the frozen
-snapshot being reproduced; KNOWN_SNAPSHOT_DEVIATIONS lists the cells
-where the snapshot is internally inconsistent (one row duplicates the
-randomness of a smaller parameter set) and cannot be matched.
+snapshot being reproduced, within CELL_TOLERANCE;
+KNOWN_SNAPSHOT_DEVIATIONS lists the cells where the snapshot is
+internally inconsistent (one row duplicates the randomness of a smaller
+parameter set) and cannot be matched.
 """
 
 from __future__ import annotations
@@ -396,18 +397,21 @@ def to_csv(rows: list[CostRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_rows(rows: list[CostRow], tol_ops: int = 2,
-                tol_rand: int = 1) -> list[dict]:
-    """Mismatches of scaled cells against PRINTED_TABLE beyond tolerance."""
+# How far a scaled cell may sit from PRINTED_TABLE, per column
+CELL_TOLERANCE = {"ops": 2, "rand": 1}
+
+
+def verify_rows(rows: list[CostRow]) -> list[dict]:
+    """Mismatches of scaled cells against PRINTED_TABLE beyond
+    CELL_TOLERANCE."""
     bad = []
     for r in rows:
         want = PRINTED_TABLE.get(r.label)
         if want is None or r.n not in (2, 3, 4):
             continue
-        for column, got, cells, tol in (
-                ("ops", r.ops_scaled, want[0], tol_ops),
-                ("rand", r.rand_scaled, want[1], tol_rand)):
-            if abs(got - cells[r.n - 2]) > tol:
+        for column, got, cells in (("ops", r.ops_scaled, want[0]),
+                                   ("rand", r.rand_scaled, want[1])):
+            if abs(got - cells[r.n - 2]) > CELL_TOLERANCE[column]:
                 bad.append({"label": r.label, "q": r.q, "m": r.m, "n": r.n,
                             "column": column, "got": got,
                             "want": cells[r.n - 2]})
@@ -420,16 +424,6 @@ def verify_rows(rows: list[CostRow], tol_ops: int = 2,
 class CounterCheck(namedtuple("CounterCheck", "gadget n w size ops_run "
                                 "ops_form bits_run bits_form")):
     __slots__ = ()
-
-    @property
-    def ops_rel(self) -> float:
-        return abs(self.ops_run - self.ops_form) / self.ops_form
-
-    @property
-    def bits_rel(self) -> float:
-        if self.bits_form == 0:
-            return 0.0 if self.bits_run == 0 else float("inf")
-        return abs(self.bits_run - self.bits_form) / self.bits_form
 
     @property
     def exact(self) -> bool:

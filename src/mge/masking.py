@@ -214,7 +214,8 @@ def mult_unshare(field: FieldSpec, shares: list[int]) -> int:
 
 
 def refresh(ctx: MaskingContext, x: list[int]) -> list[int]:
-    """Linear refresh against share 0. ops 4n-3, bits (n-1)w."""
+    """Linear refresh against share 0; costs: its costmodel.GADGET_SPECS
+    entry."""
     c = ctx.counters
     n = ctx.n
     if len(x) != n:
@@ -296,8 +297,8 @@ def _isw(ctx: MaskingContext, x: list[int], y: list[int], prod, tag: str,
     """ISW cross products (Ishai, Sahai & Wagner, CRYPTO 2003).
 
     prod is the share-wise product, tag the label prefix, width the
-    draw width (None: the field width). ops (7n^2-5n)/2, one draw per
-    share pair.
+    draw width (None: the field width). One draw per share pair; costs:
+    sec_mult's costmodel.GADGET_SPECS entry.
     """
     n = ctx.n
     if len(x) != n or len(y) != n:
@@ -333,7 +334,7 @@ def _isw(ctx: MaskingContext, x: list[int], y: list[int], prod, tag: str,
 
 
 def sec_mult(ctx: MaskingContext, x: list[int], y: list[int]) -> list[int]:
-    """Field multiplication: ops (7n^2-5n)/2, bits (n^2-n)/2 w."""
+    """Field multiplication; costs: its costmodel.GADGET_SPECS entry."""
     return _isw(ctx, x, y, ctx.field.mul, "smul", None)
 
 
@@ -359,7 +360,8 @@ def sec_not(ctx: MaskingContext, x: list[int]) -> list[int]:
 
 def sec_or(ctx: MaskingContext, x: list[int], y: list[int],
            width: int | None = None) -> list[int]:
-    """De Morgan OR on width-bit slices: ops 2n + T_and + 1."""
+    """De Morgan OR on width-bit slices; costs: its costmodel.GADGET_SPECS
+    entry."""
     n = ctx.n
     if len(x) != n or len(y) != n:
         raise _wrong_count(n, x, y)
@@ -486,9 +488,9 @@ def _nonzero_packed(ctx, t, levels, spreads, shifts, n):
 def b2m(ctx: MaskingContext, x: list[int]) -> list[int]:
     """Boolean to multiplicative sharing. Input must encode a nonzero.
 
-    ops (5n^2-7n+4)/2, draws (n^2-n)/2, bits (n^2-n)/2 w. Like every
-    gadget it counts an op per uniform draw, except for its n-1 nonzero
-    draws of multiplicative shares: those are randomness, not ops.
+    Costs: its costmodel.GADGET_SPECS entry. Like every gadget it
+    counts an op per uniform draw, except for its n-1 nonzero draws of
+    multiplicative shares: those are randomness, not ops.
     A sharing of zero raises ZeroSharing after its draws and ops: share
     0 of the result is x times every m_j, zero exactly when x is, so the
     input is never recombined.

@@ -313,11 +313,8 @@ def _complete(kind: str, field: FieldSpec, value: int, head) -> list:
 
 def _sharings(kind: str, field: FieldSpec, n: int, value: int):
     """All sharings of one secret value for the given input kind."""
-    out = [_complete(kind, field, value, head) for head in
-           itertools.product(_share_space(kind, field), repeat=n - 1)]
-    if kind == "mult":
-        return [s for s in out if s[-1] != 0]
-    return out
+    return [_complete(kind, field, value, head) for head in
+            itertools.product(_share_space(kind, field), repeat=n - 1)]
 
 
 def _random_sharing(kind: str, field: FieldSpec, n: int, value: int, rng):

@@ -147,7 +147,7 @@ def row_unshare(row: PackedRow) -> list[int]:
 
 def sec_cond_add(ctx: MaskingContext, b: list[int], x: PackedRow,
                  y: PackedRow) -> PackedRow:
-    """x + b*y for a shared bit b: ops (5n^2-3n)l, bits (n^2-n)lw.
+    """x + b*y for a shared bit b; costs: its GADGET_SPECS entry.
 
     b is extended share-locally to a full-width mask, then every
     coefficient goes through AND, XOR into x, and a strong refresh.
@@ -207,10 +207,11 @@ def _cond_add_packed(ctx, ext, x, y, l):
 
 def sec_scalar_mult(ctx: MaskingContext, p: list[int],
                     x: PackedRow) -> PackedRow:
-    """Scale a row by multiplicatively shared p: ops (5n^2-3n)l.
+    """Scale a row by multiplicatively shared p; costs: its GADGET_SPECS
+    entry.
 
     One factor share at a time; every coefficient is refreshed after
-    each factor so randomness totals (n^2-n)lw bits.
+    each factor.
     """
     n = ctx.n
     l = _check_row(x, n)
@@ -256,7 +257,8 @@ def _scalar_mult_packed(ctx, p, x, l):
 
 def sec_mult_sub(ctx: MaskingContext, factor: list[int], row: PackedRow,
                  base: PackedRow) -> PackedRow:
-    """base + factor*row coefficient-wise: ops (7n^2-3n)l/2."""
+    """base + factor*row coefficient-wise; costs: its GADGET_SPECS
+    entry."""
     n = ctx.n
     l = _check_row(row, n)
     if _check_row(base, n) != l:

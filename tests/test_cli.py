@@ -541,9 +541,12 @@ class TestSelftest:
                    for l in lines)
 
     def test_exhaustive_gf_suite(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--suite", "gf", "--exhaustive")
+        # every product of GF(16) and GF(256): 256 + 65536
+        code, out, _ = run(capsys, "selftest", "--suite", "gf")
         assert code == 0
-        assert "20256 products cross-checked" in out
+        assert "65792 products cross-checked" in out
+        code, _, err = run(capsys, "selftest", "--exhaustive")
+        assert code == 1 and "--exhaustive" in err
 
     def test_suite_subset(self, capsys):
         code, out, _ = run(capsys, "selftest", "--suite",
@@ -580,10 +583,13 @@ class TestUnreadFlags:
         (("solve", "--in", "FILE", "--q", "0"), "--q"),
         (("leakcheck", "--pipeline", "solve-unmasked", "--shares", "3",
           "--samples", "20"), "--shares"),
+        (("selftest", "--suite", "table", "--seed", "5"), "--seed"),
+        (("--seed", "5", "selftest", "--suite", "gf,cost-anchors"), "--seed"),
     ], ids=["in-count", "in-q", "in-m", "compare-unmasked",
             "unmasked-shares", "in-unmasked-seed", "cost-table-seed",
             "exhaustive-seed", "exhaustive-seed-first", "seed-zero",
-            "in-q-zero", "unmasked-pipeline-shares"])
+            "in-q-zero", "unmasked-pipeline-shares", "seedless-suite-seed",
+            "seedless-suites-seed-first"])
     def test_flag_the_run_never_reads_is_a_usage_error(
             self, capsys, monkeypatch, sys_file, argv, flag):
         from mge import probelab
@@ -610,7 +616,8 @@ class TestUnreadFlags:
         path = sys_file({"q": 16, "m": 1, "A": [[1]], "b": [1]})
         for argv in (("leakcheck", "--gadget", "refresh", "--w", "2"),
                      ("cost-table", "--schemes", "mayo-i"),
-                     ("solve", "--in", path, "--unmasked")):
+                     ("solve", "--in", path, "--unmasked"),
+                     ("selftest", "--suite", "cost-anchors,table")):
             code, plain, _ = run(capsys, *argv)
             for env in ("9", "abc"):
                 monkeypatch.setenv("MGE_SEED", env)

@@ -260,7 +260,6 @@ class TestCounterAgreement:
         for w in (4, 8):
             ck = cm.counter_vs_formula(gadget, n, w=w)
             assert ck.exact, (gadget, n, w, ck)
-            assert ck.ops_rel == 0.0 and ck.bits_rel == 0.0
 
     @pytest.mark.parametrize("gadget", [
         "sec_cond_add", "sec_scalar_mult", "sec_mult_sub"])
@@ -287,8 +286,9 @@ class TestCounterAgreement:
         assert ck.bits_run == ck.bits_form - slip_bits
 
     def test_pipeline_relative_error_shrinks_with_m(self):
-        rels = [cm.counter_vs_formula("pipeline", 2, w=8, size=m).ops_rel
-                for m in (4, 10, 44)]
+        checks = [cm.counter_vs_formula("pipeline", 2, w=8, size=m)
+                  for m in (4, 10, 44)]
+        rels = [(c.ops_form - c.ops_run) / c.ops_form for c in checks]
         assert rels[0] > rels[1] > rels[2]
         assert rels[2] < 0.01
 

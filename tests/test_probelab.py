@@ -377,6 +377,10 @@ class TestStatistical:
             assert 1 <= v < F4.q
             shares = pl._random_sharing("nonzero", F4, 2, v, rng)
             assert shares[0] ^ shares[1] == v
+        sharings = pl._sharings("mult", F4, 3, 2)
+        assert len(sharings) == 9
+        for a, b, c in sharings:
+            assert 0 not in (a, b, c) and F4.mul(F4.mul(a, b), c) == 2
 
     def test_same_seed_reproduces_statistics(self):
         def run():
