@@ -15,8 +15,8 @@ default; a run that reads no seed does not resolve one, so a malformed
 MGE_SEED fails only the runs that draw. A flag the chosen run never
 reads, --seed included, exits 1 before any work starts (_unread_flags):
 a selftest of only the suites that draw nothing (_SEEDLESS) reads no
-seed. A value out of range exits 1 too, before any import, file read
-or system generation.
+seed. A value out of range, or an empty --suite, exits 1 too, before
+any import, file read or system generation.
 """
 
 from __future__ import annotations
@@ -562,6 +562,14 @@ def _share_counts(text: str) -> tuple:
     return tuple(sorted(counts))
 
 
+def _suite_names(text: str) -> tuple:
+    """A non-empty comma list of suite names."""
+    names = tuple(x.strip() for x in text.split(",") if x.strip())
+    if names:
+        return names
+    raise argparse.ArgumentTypeError(f"expected suite names, got {text!r}")
+
+
 def _resolve_seed(value) -> int:
     if value is not None:
         return value
@@ -656,8 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit wall-time fields (deterministic output)")
 
     p = sub.add_parser("selftest", parents=[common], help="run invariant suites")
-    p.add_argument("--suite", dest="suites", type=lambda s: tuple(
-        x.strip() for x in s.split(",") if x.strip()), default=())
+    p.add_argument("--suite", dest="suites", type=_suite_names, default=())
     return ap
 
 

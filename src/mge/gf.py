@@ -143,21 +143,6 @@ class FieldSpec:
         """Product of two elements. Inputs must lie in [0, q)."""
         return self.products[(a << 8) | b]
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e by square and multiply; a=0 maps to 0 for e>0, 1 for e=0."""
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
@@ -172,16 +157,3 @@ def field_new(w: int, poly: int | None = None) -> FieldSpec:
     if not isinstance(w, int) or not 1 <= w <= 8:
         raise WidthOutOfRange(f"w must be an int in 1..8, got {w!r}")
     return _field_spec(w, DEFAULT_POLY[w] if poly is None else poly)
-
-
-def gf_add(x: int, y: int) -> int:
-    """Sum in any binary field: carryless, so simply XOR."""
-    return x ^ y
-
-
-def gf_mul(field: FieldSpec, x: int, y: int) -> int:
-    return field.mul(x, y)
-
-
-def gf_inv(field: FieldSpec, x: int) -> int:
-    return field.inv(x)

@@ -10,9 +10,9 @@ or counts anything.
 Tapes. The tapes live in mge.tape and are re-exported here. A
 SeededTape computes its SplitMix64 outputs ahead of use, in one wide
 int pass per refill that holds one state per 64-bit lane and runs each
-multiply on the even and the odd lanes apart; its _state is the state
-that one scalar step per draw would have left, so equal _state means
-equal draws from there on.
+multiply on the even and the odd lanes apart; every draw is 1..8 bits
+wide. Its _state is the state that one scalar step per draw would have
+left, so equal _state means equal draws from there on.
 
 Cost accounting. Counters charge abstract unit operations the way the
 closed forms in mge.costmodel count them: field ops, w-bit logical ops,
@@ -141,9 +141,9 @@ class MaskingContext:
         c.rng_bits += count * w
         return block
 
-    def rand_nonzero(self, width: int | None = None) -> int:
-        """Uniform nonzero draw: one draw and width bits are charged."""
-        w = self.field.w if width is None else width
+    def rand_nonzero(self) -> int:
+        """Uniform nonzero field element: one draw and w bits are charged."""
+        w = self.field.w
         v = self.rng.draw_nonzero(w)
         c = self.counters
         c.rng_draws += 1

@@ -77,6 +77,7 @@ from .masking import (
 from .rowops import PackedRow, sec_cond_add, sec_mult_sub, sec_scalar_mult
 
 ENUMERATION_CAP = 1 << 28
+_GF16 = field_new(4)  # the field of every entry point given none
 
 
 class EnumerationTooLarge(ValueError):
@@ -327,13 +328,11 @@ def _random_secret(kind: str, field: FieldSpec, rng) -> int:
     return rng.choice(_secret_space(kind, field))
 
 
-def record_trace(name: str, field: FieldSpec | None = None, n: int = 2,
+def record_trace(name: str, field: FieldSpec = _GF16, n: int = 2,
                  secrets: tuple | None = None,
                  seed: int = DEFAULT_SEED) -> ProbeTrace:
     """One labeled run on a seeded tape with randomly drawn sharings."""
     spec = lookup(name)
-    if field is None:
-        field = field_new(4)
     if secrets is None:
         secrets = _fit_secrets(spec, field)[0]
     _check_secrets(spec, field, (secrets,), 1)
@@ -483,16 +482,16 @@ class _Histograms:
         return np.array(rows)
 
 
-def exhaustive_histograms(name: str, field: FieldSpec | None = None,
-                          n: int = 2, secrets: tuple | None = None,
-                          cap: int = ENUMERATION_CAP):
+def exhaustive_histograms(name: str, field: FieldSpec = _GF16, n: int = 2,
+                          secrets: tuple | None = None):
     """Every point's exact value counts, per secret, over all runs.
 
     A run is one input sharing on one tape assignment. Returns the point
     labels (public ones included), the run count per secret, and per
     secret an int64 array of shape (points, q) whose entry [p, v]
     counts the runs in which point p carries v. Raises
-    EnumerationTooLarge when the run count would exceed the cap.
+    EnumerationTooLarge when the run count would exceed ENUMERATION_CAP,
+    read at call time.
 
     The runs of a secret are numbered in mixed radix (a sharing index
     per input, then a value per scheduled draw) and go through the traced
@@ -505,8 +504,6 @@ def exhaustive_histograms(name: str, field: FieldSpec | None = None,
     chunk's lane count, before its chunk is counted.
     """
     spec = lookup(name)
-    if field is None:
-        field = field_new(4)
     if secrets is None:
         secrets = _fit_secrets(spec, field)
     _check_secrets(spec, field, secrets, 2)
@@ -521,8 +518,9 @@ def exhaustive_histograms(name: str, field: FieldSpec | None = None,
     schedule = ctx.rng.schedule
     ntapes = math.prod((1 << w) - nonzero for w, nonzero in schedule)
     runs = [ntapes * math.prod(map(len, sets)) for sets in inputs]
-    if sum(runs) > cap:
-        raise EnumerationTooLarge(f"{sum(runs)} runs exceed cap {cap}")
+    if sum(runs) > ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"{sum(runs)} runs exceed cap {ENUMERATION_CAP}")
 
     # a chunk runs `per` sharing combinations on `span` tapes; tapes from 0
     # draw from the tiled cycle start, later slices are decoded per chunk
@@ -553,9 +551,8 @@ def exhaustive_histograms(name: str, field: FieldSpec | None = None,
     return labels, runs, hists
 
 
-def exhaustive_first_order(name: str, field: FieldSpec | None = None,
-                           n: int = 2, secrets: tuple | None = None,
-                           cap: int = ENUMERATION_CAP) -> list[LeakVerdict]:
+def exhaustive_first_order(name: str, field: FieldSpec = _GF16, n: int = 2,
+                           secrets: tuple | None = None) -> list[LeakVerdict]:
     """Exact per-point value distributions across secrets must coincide.
 
     Counts each point's values over every input sharing and every tape
@@ -565,9 +562,9 @@ def exhaustive_first_order(name: str, field: FieldSpec | None = None,
     vector, in memory bounded whatever the run count (see the module
     docstring). A point passes when every secret's counts equal the
     first's. Raises EnumerationTooLarge when the run count would exceed
-    the cap.
+    ENUMERATION_CAP.
     """
-    labels, runs, hists = exhaustive_histograms(name, field, n, secrets, cap)
+    labels, runs, hists = exhaustive_histograms(name, field, n, secrets)
     # per further secret and point: the summed count gaps to the first
     base = hists[0]
     gaps = [np.abs(h - base).sum(axis=1).tolist() for h in hists[1:]]
@@ -655,7 +652,7 @@ def _welch(m_a, v_a, n_a, m_b, v_b, n_b):
     return t
 
 
-def statistical_fixed_vs_random(target: str, field: FieldSpec | None = None,
+def statistical_fixed_vs_random(target: str, field: FieldSpec = _GF16,
                                 n: int = 2, m: int = 4,
                                 samples_per_class: int = 10_000,
                                 threshold: float = 4.5,
@@ -678,8 +675,6 @@ def statistical_fixed_vs_random(target: str, field: FieldSpec | None = None,
                          f"{threshold}")
     if target != "solve_unmasked":
         check_share_count(n)
-    if field is None:
-        field = field_new(4)
     rng = random.Random(seed)
     campaign = SeededTape(seed ^ 0x5EED)
 

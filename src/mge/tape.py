@@ -4,18 +4,19 @@ SeededTape is SplitMix64 (Steele, Lea & Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014), a counter-based
 generator: output t depends only on the seed plus t*gamma. The tape
 computes the top bytes of its next outputs ahead, in one wide int pass
-per refill, and draws of up to 8 bits (draw, draw_nonzero, draw_block)
-read them in order; the look-ahead starts short and doubles up to a
-fixed cap. The pass holds one 64-bit state per 64-bit lane of one int
-and runs each of its two multiplies once on the even lanes and once on
-the odd ones, so that a product's high half lands in an empty lane
-(see _top_bytes). Each refill is rounded up to a power of two, whose
-lane constants are built once, on first use, and cached for every tape.
-A cap-sized refill that follows another one gets its lane states by
-adding the cached cap*gamma step to the last ones, the even and the odd
-lanes apart, not by multiplying the start state out again. Its _state
-is the state that one scalar SplitMix64 step per draw would have left,
-so equal _state means equal draws from there on.
+per refill, and every draw (draw, draw_nonzero, draw_block) is 1..8
+bits wide and reads them in order; the look-ahead starts short and
+doubles up to a fixed cap. The pass holds one 64-bit state per 64-bit
+lane of one int and runs each of its two multiplies once on the even
+lanes and once on the odd ones, so that a product's high half lands in
+an empty lane (see _top_bytes). Each refill is rounded up to a power of
+two, whose lane constants are built once, on first use, and cached for
+every tape. A cap-sized refill that follows another one gets its lane
+states by adding the cached cap*gamma step to the last ones, the even
+and the odd lanes apart, not by multiplying the start state out again.
+Its _state is the state that one scalar SplitMix64 step per draw would
+have left, so equal _state means equal draws from there on. Only spawn
+steps the scalar generator, once per child.
 
 ReplayTape and DomainTape serve tape enumeration: one feeds back a
 fixed list of values, the other records the draw schedule of a run.
@@ -95,16 +96,16 @@ def _top_bytes(z: int, count: int, even: int, odd: int, low34: int,
 class SeededTape:
     """Counter-based deterministic source of uniform w-bit draws.
 
-    Draws of up to 8 bits read a buffer of the top bytes of the next
-    outputs, filled ahead in one wide pass over 64-bit lanes of a
+    Every draw, 1..8 bits wide, reads a buffer of the top bytes of the
+    next outputs, filled ahead in one wide pass over 64-bit lanes of a
     power-of-two lane count, whose multiplies run on the even and the
     odd lanes apart; the look-ahead doubles on each refill up to
     _AHEAD_CAP, so a short-lived tape computes little it never reads.
     Back-to-back cap-sized refills step the kept lane states of the
-    last one on, held as an even and an odd int. spawn() and draws
-    wider than 8 bits step the scalar generator from the current
-    position and drop the buffer and the kept lane states. Widths
-    outside 1..64 raise ValueError before the tape moves.
+    last one on, held as an even and an odd int. spawn() steps the
+    scalar generator from the current position and drops the buffer
+    and the kept lane states. Widths outside 1..8 raise ValueError
+    before the tape moves.
 
     _state is the SplitMix64 state that scalar draws would have left:
     the state before the buffer plus gamma per buffered draw read. What
@@ -124,13 +125,6 @@ class SeededTape:
     @property
     def _state(self) -> int:
         return (self._base + self._pos * _GAMMA) & _M64
-
-    def _next64(self) -> int:
-        z = self._base = (self._state + _GAMMA) & _M64
-        self._buf, self._pos, self._states = b"", 0, None
-        z = ((z ^ (z >> 30)) * _MIX1) & _M64
-        z = ((z ^ (z >> 27)) * _MIX2) & _M64
-        return z ^ (z >> 31)
 
     def _fill(self, count: int) -> None:
         """Keep the unread draws and buffer at least count from _state on."""
@@ -158,9 +152,7 @@ class SeededTape:
 
     def draw(self, width: int) -> int:
         if width - 1 & -8:  # one test: zero for widths 1..8 only
-            if not 8 < width <= 64:
-                raise ValueError(f"draws are 1..64 bits wide, got {width}")
-            return self._next64() >> (64 - width)
+            raise ValueError(f"draws are 1..8 bits wide, got {width}")
         p = self._pos
         if p == len(self._buf):
             self._fill(1)
@@ -171,18 +163,16 @@ class SeededTape:
     _draw = draw
 
     def draw_nonzero(self, width: int) -> int:
-        # rejection keeps the distribution uniform on [1, 2^width); reading
-        # through the _draw alias, not the draw attribute, keeps it one
-        # call per request for a wrapper installed on draw
-        if not 0 < width <= 64:
-            raise ValueError(f"nonzero draws are 1..64 bits wide, got {width}")
+        # rejection keeps the distribution uniform on [1, 2^width); the
+        # _draw alias, not the draw attribute, keeps it one call per request
+        # for a wrapper installed on draw, and refuses a width outside 1..8
         while True:
             v = self._draw(width)
             if v:
                 return v
 
     def draw_block(self, count: int, width: int) -> bytes:
-        """The next count draw(width) values, one byte each, width <= 8.
+        """The next count draw(width) values, one byte each.
 
         The tape ends where count draws would leave it.
         """
@@ -198,8 +188,13 @@ class SeededTape:
         return out if width == 8 else out.translate(_TOP_BITS[width])
 
     def spawn(self) -> "SeededTape":
-        """Derive an independent child tape (splittable use)."""
-        return SeededTape(self._next64())
+        """Derive an independent child tape (splittable use), seeded by
+        one scalar SplitMix64 step from the current position."""
+        z = self._base = (self._state + _GAMMA) & _M64
+        self._buf, self._pos, self._states = b"", 0, None
+        z = ((z ^ (z >> 30)) * _MIX1) & _M64
+        z = ((z ^ (z >> 27)) * _MIX2) & _M64
+        return SeededTape(z ^ (z >> 31))
 
 
 class ReplayTape:

@@ -329,6 +329,25 @@ def test_criterion_7_relative_cost_claims():
     assert ok, bad
 
 
+def test_level_one_parity():
+    # the paper's abstract: costs are similar in UOV and MAYO for one
+    # version of level I; mayo-i and uov-is both have q = 16 and m = 64
+    t0 = time.perf_counter()
+    rows = cm.cost_table()
+    ratios = []
+    for n in (2, 3, 4):
+        a = _cell(rows, "mayo-i", n)
+        b = _cell(rows, "uov-is", n)
+        ratios.append((n, a.ops_total / b.ops_total, a.rand_bits / b.rand_bits))
+    bad = [r for r in ratios if not (0.9 <= r[1] <= 1.1 and 0.9 <= r[2] <= 1.1)]
+    ok = not bad
+    print(f"[{'PASS' if ok else 'FAIL'}] level-I parity: mayo-i/uov-is ops "
+          f"ratios {', '.join(f'{r[1]:.3f}' for r in ratios)}, randomness "
+          f"ratios {', '.join(f'{r[2]:.3f}' for r in ratios)} at n = 2, 3, 4 "
+          f"(claim 1 +/- 0.1) ({time.perf_counter() - t0:.2f}s)")
+    assert ok, bad
+
+
 def test_criterion_8_cycle_counts_substituted():
     # Hardware cycle counts are out of scope at desk scale. Substitute:
     # the counter model must track the instrumented pipeline at the

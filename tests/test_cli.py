@@ -558,6 +558,14 @@ class TestSelftest:
         code, _, err = run(capsys, "selftest", "--suite", "astrology")
         assert code == 1
 
+    @pytest.mark.parametrize("suites", [",", "", " , "])
+    def test_empty_suite_selection_exit_1(self, capsys, suites):
+        # an empty selection used to run all eleven suites and exit 0
+        code, out, err = run(capsys, "selftest", "--suite", suites)
+        assert code == 1
+        assert out == ""
+        assert "--suite" in err
+
     def test_failing_suite_names_itself_exit_5(self, capsys, monkeypatch):
         broken = (("gf", lambda cfg: (False, "seeded failure")),)
         monkeypatch.setattr(cli, "_SUITES", broken + cli._SUITES[1:])

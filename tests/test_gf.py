@@ -21,9 +21,6 @@ from mge.gf import (
     ZeroInverse,
     _mul_ref,
     field_new,
-    gf_add,
-    gf_inv,
-    gf_mul,
     poly_is_irreducible,
 )
 
@@ -84,10 +81,10 @@ def ref_irreducible(p, w):
 def test_known_products_and_inverses():
     f16 = field_new(4)
     assert f16.mul(0x2, 0x9) == 0x1
-    assert gf_inv(f16, 0x2) == 0x9
+    assert f16.inv(0x2) == 0x9
     f256 = field_new(8)
-    assert gf_mul(f256, 0x53, 0xCA) == 0x01
-    assert gf_add(0x53, 0xCA) == 0x99
+    assert f256.mul(0x53, 0xCA) == 0x01
+    assert 0x53 ^ 0xCA == 0x99
 
 
 def test_reducible_modulus_rejected():
@@ -207,4 +204,7 @@ def test_field_axioms(w, data):
     assert f.mul(a, 1) == a
     if a:
         assert f.mul(a, f.inv(a)) == 1
-        assert f.pow(a, f.q - 1) == 1
+        power = 1
+        for _ in range(f.q - 1):
+            power = f.mul(power, a)
+        assert power == 1

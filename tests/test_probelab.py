@@ -13,9 +13,9 @@ import pytest
 
 from mge.gf import ZeroInverse, field_new
 from mge import probelab as pl
-from mge.linalg import masked_solve, random_system
-from mge.masking import (DomainTape, MaskingContext, ReplayTape, ZeroSharing,
-                         b2m, refresh, strong_refresh)
+from mge.linalg import masked_solve, random_system, singular_system
+from mge.masking import (DomainTape, MaskingContext, ReplayTape, SeededTape,
+                         ZeroSharing, b2m, refresh, strong_refresh)
 
 F16 = field_new(4)
 F4 = field_new(2)
@@ -122,9 +122,11 @@ class TestExhaustive:
         failing = [v.point_id for v in verdicts if not v.passed]
         assert any("collapse" in p for p in failing)
 
-    def test_cap_guard(self):
+    def test_cap_guard(self, monkeypatch):
+        # the cap is read at call time
+        monkeypatch.setattr(pl, "ENUMERATION_CAP", 10)
         with pytest.raises(pl.EnumerationTooLarge):
-            pl.exhaustive_first_order("sec_cond_add", field_new(8), 2, cap=10)
+            pl.exhaustive_first_order("sec_cond_add", field_new(8), 2)
 
     def test_secret_of_wrong_arity_is_rejected(self):
         with pytest.raises(ValueError, match=r"\(1,\) of sec_mult must hold 2"):
@@ -789,3 +791,56 @@ class TestCampaignArguments:
         verdicts = pl.statistical_fixed_vs_random(
             "refresh", F16, 2, samples_per_class=2, threshold=1e-9, seed=1)
         assert len(verdicts) == 4
+
+
+class WidthLog(SeededTape):
+    """A seeded tape that logs the width of every request."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = {"draw": set(), "draw_nonzero": set(),
+                       "draw_block": set()}
+
+    def draw(self, width):
+        self.widths["draw"].add(width)
+        return super().draw(width)
+
+    def draw_nonzero(self, width):
+        self.widths["draw_nonzero"].add(width)
+        return super().draw_nonzero(width)
+
+    def draw_block(self, count, width):
+        self.widths["draw_block"].add(width)
+        return super().draw_block(count, width)
+
+
+def test_every_draw_the_package_makes_is_one_to_eight_bits_wide():
+    # the tapes serve widths 1..8 only: the solver, on both paths and on
+    # singular systems too, and every registry gadget ask for no other
+    rng = random.Random(27)
+    seen = {"draw": set(), "draw_nonzero": set(), "draw_block": set()}
+
+    def run(field, n, traced, gadget, *args):
+        ctx = MaskingContext(field, n, tape=WidthLog(rng.getrandbits(64)))
+        if traced:
+            ctx.trace, ctx.trace_labels = [], []
+        gadget(ctx, *args)
+        for kind, widths in ctx.rng.widths.items():
+            seen[kind] |= widths
+
+    for w, n in itertools.product(range(1, 9), (2, 3, 4)):
+        field = field_new(w)
+        for system in (random_system(field, 3, rng),
+                       random_system(field, 3, rng, invertible=False),
+                       singular_system(field, 3, rng)):
+            for traced in (False, True):
+                run(field, n, traced, masked_solve, system)
+    # every default secret fits from GF(4) on
+    for w, n in itertools.product(range(2, 9), (2, 3)):
+        field = field_new(w)
+        for spec in pl.REGISTRY.values():
+            secrets = pl._fit_secrets(spec, field)[0]
+            run(field, n, True, spec.run,
+                *(pl._random_sharing(kind, field, n, v, rng)
+                  for kind, v in zip(spec.kinds, secrets)))
+    assert seen == {kind: set(range(1, 9)) for kind in seen}
