@@ -15,8 +15,9 @@ default; a run that reads no seed does not resolve one, so a malformed
 MGE_SEED fails only the runs that draw. A flag the chosen run never
 reads, --seed included, exits 1 before any work starts (_unread_flags):
 a selftest of only the suites that draw nothing (_SEEDLESS) reads no
-seed. A value out of range, or an empty --suite, exits 1 too, before
-any import, file read or system generation.
+seed. A value out of range (an odd statistical --samples included), or
+an empty --suite, exits 1 too, before any import, file read or system
+generation.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def cmd_cost_table(cfg: argparse.Namespace) -> int:
         return EXIT_OK
     bad = cm.verify_rows(rows)
     checked = sum(1 for r in rows if r.label in cm.PRINTED_TABLE
-                  and r.n in (2, 3, 4))
+                  and r.n in cm.PRINTED_ORDERS)
     known = set(cm.KNOWN_SNAPSHOT_DEVIATIONS)
     bounds = ", ".join(f"{col} +-{tol}"
                        for col, tol in cm.CELL_TOLERANCE.items())
@@ -181,6 +182,10 @@ def cmd_leakcheck(cfg: argparse.Namespace) -> int:
         # a Welch t needs a sample variance, so two traces per class
         print(f"--samples must be at least 4, got {cfg.samples}",
               file=sys.stderr)
+        return EXIT_USAGE
+    if mode == "statistical" and cfg.samples % 2:
+        print(f"--samples must be even, got {cfg.samples}: the two classes "
+              "take half the traces each", file=sys.stderr)
         return EXIT_USAGE
     from . import probelab as pl  # numpy loads only for the commands that probe
     if cfg.pipeline:
@@ -632,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all, or comma list of families/preset labels")
     p.add_argument("--orders", type=_share_counts, default=(2, 3, 4))
     p.add_argument("--out", dest="out_path")
-    p.add_argument("--verify", action="store_true",
+    p.add_argument("--verify", action="store_true", default=None,
                    help="diff scaled cells against the embedded snapshot")
 
     p = sub.add_parser("leakcheck", parents=[common], help="probing-model leakage checks")
@@ -646,8 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_at_least_one,
                    help="--pipeline system size (default 4)")
     p.add_argument("--samples", type=int,
-                   help="statistical: total trace count, split between the "
-                   "two classes (default 20000)")
+                   help="statistical: total trace count, even, split between "
+                   "the two classes (default 20000)")
     p.add_argument("--threshold", type=float,
                    help="statistical: |t| above which a point fails "
                    "(default 4.5)")
@@ -690,6 +695,10 @@ def _unread_flags(cfg: argparse.Namespace) -> dict:
                 unread["--seed"] = "an --unmasked solve of an --in file"
     elif cfg.command == "cost-table":
         unread["--seed"] = "cost-table, which draws nothing"
+        if not set(cfg.orders) & set(cm.PRINTED_ORDERS):
+            unread["--verify"] = (
+                f"--orders {','.join(map(str, cfg.orders))}: the snapshot "
+                f"prints n = {', '.join(map(str, cm.PRINTED_ORDERS))} only")
     elif cfg.command == "leakcheck" and cfg.gadget:
         if cfg.mode != "statistical":
             for flag in ("--samples", "--threshold", "--seed"):

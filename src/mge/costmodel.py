@@ -317,6 +317,9 @@ PARAM_SETS = (
 
 PRESETS = {p.label: p for p in PARAM_SETS}
 
+# The share counts the snapshot prints, one cell each per column
+PRINTED_ORDERS = (2, 3, 4)
+
 # Frozen snapshot being reproduced: label -> ((ops n=2,3,4), (rand n=2,3,4)).
 PRINTED_TABLE = {
     "uov-ip": ((105, 260, 482), (742, 2226, 4452)),
@@ -407,14 +410,14 @@ def verify_rows(rows: list[CostRow]) -> list[dict]:
     bad = []
     for r in rows:
         want = PRINTED_TABLE.get(r.label)
-        if want is None or r.n not in (2, 3, 4):
+        if want is None or r.n not in PRINTED_ORDERS:
             continue
+        i = PRINTED_ORDERS.index(r.n)
         for column, got, cells in (("ops", r.ops_scaled, want[0]),
                                    ("rand", r.rand_scaled, want[1])):
-            if abs(got - cells[r.n - 2]) > CELL_TOLERANCE[column]:
+            if abs(got - cells[i]) > CELL_TOLERANCE[column]:
                 bad.append({"label": r.label, "q": r.q, "m": r.m, "n": r.n,
-                            "column": column, "got": got,
-                            "want": cells[r.n - 2]})
+                            "column": column, "got": got, "want": cells[i]})
     return bad
 
 

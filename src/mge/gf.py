@@ -3,13 +3,14 @@
 Field elements are plain Python ints in [0, 2^w), read as polynomials
 over GF(2) (bit i is the coefficient of x^i). Addition is XOR and costs
 nothing to set up; multiplication and inversion go through a FieldSpec,
-which fixes the reduction polynomial and tabulates every product and
-inverse at construction. FieldSpec.products is the one product table of
+which tabulates every product and inverse at construction. There is one
+field per width: GF(2^w) is always reduced by DEFAULT_POLY[w], so a
+width names its field. FieldSpec.products is the one product table of
 a field: mul reads it, the row kernels of mge.rowops slice a factor's
 row from it, and the probing lab's LaneField views it as a numpy array.
 
 A FieldSpec is immutable after construction and safe to share between
-threads. Obtain one through field_new(), which caches per (w, poly);
+threads. Obtain one through field_new(), which caches one per width;
 copies and unpickled FieldSpecs come from it too.
 """
 
@@ -22,15 +23,11 @@ class WidthOutOfRange(ValueError):
     """Field width outside the supported range 1..8."""
 
 
-class ReduciblePolynomial(ValueError):
-    """Modulus is not an irreducible polynomial of degree w."""
-
-
 class ZeroInverse(ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-# Degree-w irreducible defaults. 0x11B is the usual x^8+x^4+x^3+x+1.
+# Each width's one irreducible modulus. 0x11B is the usual x^8+x^4+x^3+x+1.
 DEFAULT_POLY = {
     1: 0x3,
     2: 0x7,
@@ -41,25 +38,6 @@ DEFAULT_POLY = {
     7: 0x83,
     8: 0x11B,
 }
-
-
-def _gf2_poly_mod(a: int, b: int) -> int:
-    """Remainder of a divided by b, both GF(2)[x] polynomials as ints."""
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def poly_is_irreducible(poly: int, w: int) -> bool:
-    """Trial division by every polynomial of degree 1..w//2."""
-    if poly.bit_length() != w + 1:
-        return False
-    for deg in range(1, w // 2 + 1):
-        for low in range(1 << deg):
-            if _gf2_poly_mod(poly, (1 << deg) | low) == 0:
-                return False
-    return True
 
 
 def _mul_ref(a: int, b: int, poly: int, w: int) -> int:
@@ -77,7 +55,7 @@ def _mul_ref(a: int, b: int, poly: int, w: int) -> int:
 
 
 class FieldSpec:
-    """One binary field: width, modulus, and the lookup tables.
+    """GF(2^w): width, modulus DEFAULT_POLY[w], and the lookup tables.
 
     products is 65536 bytes: row a, bytes 256a..256a+255, is the
     bytes.translate table of v -> a*v, 0 for v >= q, and every row for
@@ -86,15 +64,10 @@ class FieldSpec:
 
     __slots__ = ("w", "poly", "q", "products", "inverses")
 
-    def __init__(self, w: int, poly: int | None = None):
+    def __init__(self, w: int):
         if not isinstance(w, int) or not 1 <= w <= 8:
             raise WidthOutOfRange(f"w must be an int in 1..8, got {w!r}")
-        if poly is None:
-            poly = DEFAULT_POLY[w]
-        if not poly_is_irreducible(poly, w):
-            raise ReduciblePolynomial(
-                f"0x{poly:X} is not an irreducible polynomial of degree {w}"
-            )
+        poly = DEFAULT_POLY[w]
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "poly", poly)
         q = 1 << w
@@ -137,7 +110,7 @@ class FieldSpec:
 
     def __reduce__(self):
         # copy and pickle rebuild through field_new, not by setting state
-        return field_new, (self.w, self.poly)
+        return field_new, (self.w,)
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements. Inputs must lie in [0, q)."""
@@ -152,8 +125,9 @@ class FieldSpec:
 _field_spec = cache(FieldSpec)
 
 
-def field_new(w: int, poly: int | None = None) -> FieldSpec:
-    """Construct (or fetch the cached) FieldSpec for GF(2^w) mod poly."""
+def field_new(w: int) -> FieldSpec:
+    """The FieldSpec of GF(2^w), built on first use and cached."""
+    # checked before the cache, which may take 3.0 for the key 3
     if not isinstance(w, int) or not 1 <= w <= 8:
         raise WidthOutOfRange(f"w must be an int in 1..8, got {w!r}")
-    return _field_spec(w, DEFAULT_POLY[w] if poly is None else poly)
+    return _field_spec(w)

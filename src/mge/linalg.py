@@ -139,13 +139,18 @@ def gaussian_elimination(system: LinearSystem, pivot_tries: int | None = None,
 
 
 class FieldMismatch(ValueError):
-    """A masking context over another field than the system's."""
+    """A masking context over a field of another width than the
+    system's; a width names its field."""
 
 
 def share_system(ctx: MaskingContext, system: LinearSystem) -> list:
-    """Share the augmented matrix row-wise (not part of gadget costs)."""
+    """Share the augmented matrix row-wise (not part of gadget costs).
+
+    A context whose field has another width than the system's is refused
+    before anything is drawn.
+    """
     cf, sf = ctx.field, system.field
-    if (cf.w, cf.poly) != (sf.w, sf.poly):
+    if cf.w != sf.w:
         raise FieldMismatch(f"the context is over {cf!r}, the system over "
                             f"{sf!r}")
     return [row_share(ctx, list(system.a[j]) + [system.b[j]])

@@ -250,6 +250,13 @@ class TestCostTable:
         assert code == 0
         assert "MISMATCH" not in out
 
+    def test_verify_checks_the_printed_orders_among_others(self, capsys):
+        # n = 5 has no printed cell; the n = 2 cells of the 4 uov rows do
+        code, out, err = run(capsys, "cost-table", "--schemes", "uov",
+                             "--orders", "2,5", "--verify")
+        assert code == 0 and err == ""
+        assert "verify: 8/8 cells within tolerance" in out
+
     def test_unknown_scheme_exit_1(self, capsys):
         code, _, err = run(capsys, "cost-table", "--schemes", "kyber")
         assert code == 1 and "kyber" in err
@@ -358,6 +365,18 @@ class TestLeakcheck:
         assert code == 1
         assert out == ""
         assert "--samples must be at least 4" in err
+
+    def test_odd_statistical_samples_exit_1(self):
+        # each used to exit 0 with every verdict over one trace fewer
+        cases = [["--gadget", "refresh", "--mode", "statistical",
+                  "--samples", "5", "--seed", "1"],
+                 ["--pipeline", "solve", "--m", "2", "--samples", "201"]]
+        for argv, (code, out, err, imported) in zip(
+                cases, fresh_leakchecks(cases)):
+            assert code == cli.EXIT_USAGE, argv
+            assert out == "", argv
+            assert err.startswith("--samples must be even"), argv
+            assert not imported, argv
 
     @pytest.mark.parametrize("threshold", ["-1", "0", "nan", "inf"])
     def test_threshold_not_finite_and_positive_exit_1(self, capsys,
@@ -593,11 +612,15 @@ class TestUnreadFlags:
           "--samples", "20"), "--shares"),
         (("selftest", "--suite", "table", "--seed", "5"), "--seed"),
         (("--seed", "5", "selftest", "--suite", "gf,cost-anchors"), "--seed"),
+        (("cost-table", "--orders", "5", "--verify"), "--verify"),
+        (("cost-table", "--orders", "5,6", "--schemes", "mayo-i",
+          "--verify"), "--verify"),
     ], ids=["in-count", "in-q", "in-m", "compare-unmasked",
             "unmasked-shares", "in-unmasked-seed", "cost-table-seed",
             "exhaustive-seed", "exhaustive-seed-first", "seed-zero",
             "in-q-zero", "unmasked-pipeline-shares", "seedless-suite-seed",
-            "seedless-suites-seed-first"])
+            "seedless-suites-seed-first", "unprinted-order-verify",
+            "unprinted-orders-verify"])
     def test_flag_the_run_never_reads_is_a_usage_error(
             self, capsys, monkeypatch, sys_file, argv, flag):
         from mge import probelab
