@@ -60,7 +60,7 @@ EXIT_SELFTEST = 5
 def _field_for_q(q) -> FieldSpec:
     if type(q) is not int or q < 2 or q & (q - 1) or q > 256:
         raise ValueError(f"q must be a power of two in [2, 256], got {q!r}")
-    return field_new(q.bit_length() - 1)
+    return field_new(cm.w_eff(q))
 
 
 def _parse_system(path: str) -> LinearSystem:

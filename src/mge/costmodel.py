@@ -1,14 +1,16 @@
 """The gadget table, closed-form costs, and the scheme table.
 
 GADGET_SPECS declares every gadget once: its callable, input kinds,
-closed forms and the probing lab's default secrets. MaskingContext
-charges each draw and its bits as it is made, and each gadget counts
-every op it executes, one per uniform draw included, but for two kinds
-of call that charge closed forms: the packed row kernels (mge.rowops)
-add their op forms, and sec_nonzero (mge.masking) sets ops and bits on
-return to their values on entry plus its forms. Every closed form
-lives in this table, and masking.closed_forms is its one reader at run
-time. A composite's form sums its parts'. t_cost / r_cost return the
+closed forms and the probing lab's default secrets. Beside it,
+share_space and secret_space give each scalar kind's value ranges, read
+by counter_vs_formula's random inputs and the probing lab alike.
+MaskingContext charges each draw and its bits as it is made, and each
+gadget counts every op it executes, one per uniform draw included, but
+for two kinds of call that charge closed forms: the packed row kernels
+(mge.rowops) add their op forms, and sec_nonzero (mge.masking) sets ops
+and bits on return to their values on entry plus its forms. Every closed
+form lives in this table, and masking.closed_forms is its one reader at
+run time. A composite's form sums its parts'. t_cost / r_cost return the
 forms in exact integer arithmetic.
 
 ech_phases declares the elimination's cost once, one row per phase of
@@ -43,7 +45,7 @@ from collections import namedtuple
 from math import comb
 from operator import sub
 
-from .gf import field_new
+from .gf import FieldSpec, field_new
 from .masking import (
     MaskingContext,
     b2m,
@@ -96,6 +98,20 @@ class GadgetSpec(namedtuple("GadgetSpec", "name fn kinds t r needs_w secrets",
 
 _SIZED_KINDS = frozenset({"row", "system", "echelon"})
 _MATRIX_KINDS = frozenset({"system", "echelon"})
+
+
+def share_space(kind: str, field: FieldSpec) -> range:
+    """Values one share of a "bit", "bool", "nonzero" or "mult" input
+    takes: a bit's Boolean shares are bits, a field element's are any
+    element, and multiplicative shares are nonzero."""
+    if kind == "bit":
+        return range(2)
+    return range(1 if kind == "mult" else 0, field.q)
+
+
+def secret_space(kind: str, field: FieldSpec) -> range:
+    """Values an input of one of share_space's kinds may share."""
+    return range(1, field.q) if kind == "nonzero" else share_space(kind, field)
 
 
 def _pair_bits(n, l, w):
@@ -434,18 +450,17 @@ class CounterCheck(namedtuple("CounterCheck", "gadget n w size ops_run "
 
 
 def _random_input(ctx, rng, kind, size):
-    q = ctx.field.q
+    field = ctx.field
     if kind == "row":
-        return row_share(ctx, [rng.randrange(q) for _ in range(size)])
-    if kind == "mult":
-        return [rng.randrange(1, q) for _ in range(ctx.n)]
+        return row_share(ctx, [rng.randrange(field.q) for _ in range(size)])
     if kind in _MATRIX_KINDS:
-        rows = share_system(ctx, random_system(ctx.field, size, rng))
+        rows = share_system(ctx, random_system(field, size, rng))
         if kind == "echelon":
             sec_row_ech(ctx, rows)
         return rows
-    lo, hi = {"bool": (0, q), "nonzero": (1, q), "bit": (0, 2)}[kind]
-    return bool_share(ctx, rng.randrange(lo, hi))
+    if kind == "mult":
+        return [rng.choice(share_space(kind, field)) for _ in range(ctx.n)]
+    return bool_share(ctx, rng.choice(secret_space(kind, field)))
 
 
 def counter_vs_formula(gadget: str, n: int, w: int = 8,

@@ -10,13 +10,15 @@ a field: mul reads it, the row kernels of mge.rowops slice a factor's
 row from it, and the probing lab's LaneField views it as a numpy array.
 
 A FieldSpec is immutable after construction and safe to share between
-threads. Obtain one through field_new(), which caches one per width;
+threads. Its constructor holds the one width check, an exact int (no
+bool, no float) in 1..8. Obtain one through field_new(), which caches
+one per width keyed by value and type, so True and 3.0 reach that check;
 copies and unpickled FieldSpecs come from it too.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 
 class WidthOutOfRange(ValueError):
@@ -65,7 +67,7 @@ class FieldSpec:
     __slots__ = ("w", "poly", "q", "products", "inverses")
 
     def __init__(self, w: int):
-        if not isinstance(w, int) or not 1 <= w <= 8:
+        if type(w) is not int or not 1 <= w <= 8:
             raise WidthOutOfRange(f"w must be an int in 1..8, got {w!r}")
         poly = DEFAULT_POLY[w]
         object.__setattr__(self, "w", w)
@@ -122,12 +124,7 @@ class FieldSpec:
         return self.inverses[a]
 
 
-_field_spec = cache(FieldSpec)
-
-
+@lru_cache(maxsize=None, typed=True)
 def field_new(w: int) -> FieldSpec:
     """The FieldSpec of GF(2^w), built on first use and cached."""
-    # checked before the cache, which may take 3.0 for the key 3
-    if not isinstance(w, int) or not 1 <= w <= 8:
-        raise WidthOutOfRange(f"w must be an int in 1..8, got {w!r}")
-    return _field_spec(w)
+    return FieldSpec(w)

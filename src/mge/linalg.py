@@ -13,6 +13,9 @@ Masked rows are mge.rowops PackedRows from share_system to sec_back_sub,
 kept as live tails. While column j is eliminated, coefficient 0 of each
 row from j down is column j (byte 0 of every share); then the rows below
 drop it, so row j ends as columns j..m.
+
+A LinearSystem holds (field, a, b) and derives m from a; every way to
+build one, _make, _replace, copy and pickle, goes through __new__.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .rowops import (
 )
 
 
-class LinearSystem(namedtuple("LinearSystem", "field m a b")):
+class LinearSystem(namedtuple("LinearSystem", "field a b")):
     """Square system A x = b over one field; validated on construction."""
 
     __slots__ = ()
@@ -66,22 +69,18 @@ class LinearSystem(namedtuple("LinearSystem", "field m a b")):
                 if type(v) is not int or not 0 <= v < field.q:
                     raise ValueError(f"{what}: entry {v!r} is not an integer "
                                      f"in [0, {field.q})")
-        return super().__new__(cls, field, m, tuple(tuple(row) for row in a),
+        return super().__new__(cls, field, tuple(tuple(row) for row in a),
                                tuple(b))
 
-    def __getnewargs__(self):
-        # copy and pickle rebuild through __new__, which takes no m
-        return self.field, self.a, self.b
+    @property
+    def m(self) -> int:
+        """The system's size, A's row count; derived, not stored."""
+        return len(self.a)
 
     @classmethod
     def _make(cls, iterable):
-        # _replace builds through here: validate as __new__ does, and
-        # refuse an m that disagrees with the rows
-        field, m, a, b = iterable
-        system = cls(field, a, b)
-        if m != system.m:
-            raise LengthMismatch(f"m is {m!r}, but A has {system.m} rows")
-        return system
+        # _replace builds through here: validate as __new__ does
+        return cls(*iterable)
 
 
 # x is None when the solve aborts at column fail_index

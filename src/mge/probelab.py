@@ -246,21 +246,8 @@ def lookup(name: str) -> ProbeSpec:
 
 
 # -------------------------------------------------------- input enumeration
-
-
-def _share_space(kind: str, field: FieldSpec) -> range:
-    """Values one share of an input of this kind ranges over."""
-    if kind == "bit":
-        return range(2)
-    if kind == "mult":
-        return range(1, field.q)
-    return range(field.q)  # "bool" and "nonzero": Boolean sharings
-
-
-def _secret_space(kind: str, field: FieldSpec) -> range:
-    if kind == "nonzero":
-        return range(1, field.q)
-    return _share_space(kind, field)
+# Each kind's share and secret ranges are costmodel.share_space and
+# secret_space; a row input is enumerated as one "bool" coefficient.
 
 
 def _fit_secrets(spec: ProbeSpec, field: FieldSpec) -> tuple:
@@ -272,7 +259,7 @@ def _fit_secrets(spec: ProbeSpec, field: FieldSpec) -> tuple:
     """
     kept = tuple(
         sec for sec in spec.secrets
-        if all(sec[i] in _secret_space(kind, field)
+        if all(sec[i] in cm.secret_space(kind, field)
                for i, kind in enumerate(spec.kinds))
     )
     if len(kept) < 2:
@@ -295,7 +282,7 @@ def _check_secrets(spec: ProbeSpec, field: FieldSpec, secrets: tuple,
             raise ValueError(f"secret assignment {sec!r} of {spec.name} "
                              f"must hold {arity} value(s), one per input")
         for v, kind in zip(sec, spec.kinds):
-            if v not in _secret_space(kind, field):
+            if v not in cm.secret_space(kind, field):
                 raise ValueError(
                     f"secret assignment {sec!r} of {spec.name}: {v!r} is "
                     f"not a {kind} secret over GF({field.q})")
@@ -315,17 +302,17 @@ def _complete(kind: str, field: FieldSpec, value: int, head) -> list:
 def _sharings(kind: str, field: FieldSpec, n: int, value: int):
     """All sharings of one secret value for the given input kind."""
     return [_complete(kind, field, value, head) for head in
-            itertools.product(_share_space(kind, field), repeat=n - 1)]
+            itertools.product(cm.share_space(kind, field), repeat=n - 1)]
 
 
 def _random_sharing(kind: str, field: FieldSpec, n: int, value: int, rng):
-    space = _share_space(kind, field)
+    space = cm.share_space(kind, field)
     return _complete(kind, field, value, [rng.choice(space)
                                           for _ in range(n - 1)])
 
 
 def _random_secret(kind: str, field: FieldSpec, rng) -> int:
-    return rng.choice(_secret_space(kind, field))
+    return rng.choice(cm.secret_space(kind, field))
 
 
 def record_trace(name: str, field: FieldSpec = _GF16, n: int = 2,

@@ -13,10 +13,12 @@ import pytest
 
 from mge import costmodel as cm
 from mge.gf import field_new
-from mge.linalg import LinearSystem, SolveOutcome, masked_solve, random_system
+from mge.linalg import (LinearSystem, SolveOutcome, masked_solve,
+                        random_system, sec_row_ech, share_system)
 from mge.masking import (DomainTape, MaskingContext, b2m, bool_share,
                          sec_nonzero)
-from mge.rowops import row_share, sec_cond_add, sec_mult_sub, sec_scalar_mult
+from mge.rowops import (PackedRow, row_share, sec_cond_add, sec_mult_sub,
+                        sec_scalar_mult)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -117,7 +119,7 @@ RECORDS = [
     (SolveOutcome, dict(x=(1,)),
      "SolveOutcome(x=(1,), singular=False, fail_index=None)"),
     (LinearSystem, dict(field=field_new(2), a=[[1, 0], [0, 1]], b=[2, 3]),
-     "LinearSystem(field=FieldSpec(w=2, poly=0x7), m=2, a=((1, 0), (0, 1)), "
+     "LinearSystem(field=FieldSpec(w=2, poly=0x7), a=((1, 0), (0, 1)), "
      "b=(2, 3))"),
 ]
 
@@ -249,6 +251,70 @@ class TestTableReproduction:
         for r in rows:
             assert isinstance(r.ops_total, int)
             assert isinstance(r.rand_bits, int)
+
+
+def _random_input_from_a_range_table(ctx, rng, kind, size):
+    # the reference draws: one inline range per kind, drawn by randrange
+    q = ctx.field.q
+    if kind == "row":
+        return row_share(ctx, [rng.randrange(q) for _ in range(size)])
+    if kind == "mult":
+        return [rng.randrange(1, q) for _ in range(ctx.n)]
+    if kind in ("system", "echelon"):
+        rows = share_system(ctx, random_system(ctx.field, size, rng))
+        if kind == "echelon":
+            sec_row_ech(ctx, rows)
+        return rows
+    lo, hi = {"bool": (0, q), "nonzero": (1, q), "bit": (0, 2)}[kind]
+    return bool_share(ctx, rng.randrange(lo, hi))
+
+
+def _plain(value):
+    # a PackedRow compares as its list of shares; keep its length too
+    if isinstance(value, PackedRow):
+        return ("row", value.l, list(value))
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+class TestInputKinds:
+    SCALAR_KINDS = ("bit", "bool", "nonzero", "mult")
+
+    def test_the_scalar_kinds_are_the_unsized_kinds_of_the_table(self):
+        kinds = {k for g in cm.GADGET_SPECS for k in g.kinds}
+        assert kinds - {"row", "system", "echelon"} == set(self.SCALAR_KINDS)
+
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_share_and_secret_spaces_are_the_explicit_ranges(self, w):
+        field = field_new(w)
+        last = field.q - 1
+        want = {  # kind -> (share values, secret values), first and last
+            "bit": ((0, 1), (0, 1)),
+            "bool": ((0, last), (0, last)),
+            "nonzero": ((0, last), (1, last)),
+            "mult": ((1, last), (1, last)),
+        }
+        for kind in self.SCALAR_KINDS:
+            for got, (lo, hi) in zip((cm.share_space(kind, field),
+                                      cm.secret_space(kind, field)),
+                                     want[kind]):
+                assert list(got) == list(range(lo, hi + 1)), (kind, w)
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8])
+    @pytest.mark.parametrize("seed", [1, 7, 1234])
+    def test_random_inputs_draw_as_a_range_table_did(self, w, seed):
+        # rng.choice over a range draws what randrange over it did
+        for spec in cm.GADGET_SPECS:
+            size = 3 if spec.sized else None
+            runs = []
+            for make in (cm._random_input, _random_input_from_a_range_table):
+                ctx = MaskingContext(field_new(w), 3, seed=seed)
+                rng = random.Random(seed)
+                args = [make(ctx, rng, kind, size) for kind in spec.kinds]
+                runs.append((_plain(args), rng.getstate(), ctx.rng._state,
+                             ctx.counters.snapshot()))
+            assert runs[0] == runs[1], spec.name
 
 
 class TestCounterAgreement:

@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mge import gf
 from mge.gf import (
     DEFAULT_POLY,
     FieldSpec,
@@ -111,6 +112,17 @@ def test_a_width_names_its_one_field():
         FieldSpec(4, 0x19)
     for w in range(1, 9):
         assert field_new(w) is field_new(w)
+
+
+@pytest.mark.parametrize("w", [True, False, 3.0], ids=["True", "False", "3.0"])
+def test_a_width_is_an_exact_int(w, monkeypatch):
+    # True would name a second GF(2) beside field_new(1); with no modulus
+    # to read, building any table raises KeyError instead
+    monkeypatch.setattr(gf, "DEFAULT_POLY", {})
+    with pytest.raises(WidthOutOfRange):
+        field_new(w)
+    with pytest.raises(WidthOutOfRange):
+        FieldSpec(w)
 
 
 def test_fieldspec_copies_and_pickles_through_field_new():

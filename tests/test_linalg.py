@@ -212,20 +212,35 @@ class TestValidation:
     def test_make_and_replace_validate_as_the_constructor_does(self):
         sysm = LinearSystem(F16, [[1, 0], [0, 1]], [2, 3])
         with pytest.raises(LengthMismatch):
-            sysm._replace(m=5)
-        with pytest.raises(LengthMismatch):
             sysm._replace(b=[1])
         with pytest.raises(ValueError):
             sysm._replace(a=[[16, 0], [0, 1]])
         with pytest.raises(ValueError):
-            LinearSystem._make((F16, 2, [[1, 0], [0, 1]], [0, -1]))
-        with pytest.raises(LengthMismatch):
-            LinearSystem._make((F16, 3, [[1, 0], [0, 1]], [0, 0]))
+            LinearSystem._make((F16, [[1, 0], [0, 1]], [0, -1]))
         with pytest.raises(LengthZero):
-            LinearSystem._make((F16, 0, [], []))
+            LinearSystem._make((F16, [], []))
         dup = sysm._replace(b=[1, 1])
         assert type(dup) is LinearSystem and dup.b == (1, 1)
         assert isinstance(dup.a[0], tuple) and dup.a == sysm.a
+
+    def test_m_is_the_row_count_and_is_never_stored(self):
+        sysm = random_system(F16, 3, random.Random(4))
+        assert sysm.m == len(sysm.a) == 3
+        assert sysm._fields == ("field", "a", "b")
+        with pytest.raises(ValueError, match="'m'"):
+            sysm._replace(m=3)
+
+    def test_replace_validates_and_derives_m_again(self):
+        sysm = LinearSystem(F16, [[1, 0], [0, 1]], [2, 3])
+        three = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        big = sysm._replace(a=three, b=[1, 2, 3])
+        assert type(big) is LinearSystem and big.m == 3
+        assert big.a == tuple(map(tuple, three)) and big.b == (1, 2, 3)
+        assert sysm._replace(a=[[7]], b=[1]).m == 1
+        with pytest.raises(LengthMismatch):
+            sysm._replace(a=three)  # b keeps its two entries
+        with pytest.raises(LengthZero):
+            sysm._replace(a=[], b=[])
 
 
 @settings(max_examples=60, deadline=None)
